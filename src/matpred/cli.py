@@ -9,58 +9,18 @@ Exit codes: 0 success, 1 invariant/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
-from . import adversaries, decompose, problems
+from . import decompose, problems
 from .adversaries import Sequence
-from .mmw import ConstraintSet, LinConstraint, project_qre
-from .omp import OmpConfig, new_session, omp_round
+from .harness import PROBLEMS, Params, run_learner
+from .mmw import project_qre
+from .omp import OmpConfig
 from .problems import LossFn
-
-
-# ---------------------------------------------------------------------------
-# harness
-
-def run_learner(cfg: OmpConfig, seq: Sequence, trace_path: str | None = None):
-    """Run the prediction engine over a sequence. Returns (session, total loss)."""
-    session = new_session(cfg)
-    total = 0.0
-    out = open(trace_path, "w") if trace_path else None
-    try:
-        if out:
-            out.write("t,i,j,yhat,g,loss,cumloss\n")
-        for (i, j), lf in seq.rounds:
-            yhat, session = omp_round(session, i, j, lf)
-            ev = session.history[-1]
-            total += ev.loss
-            if out:
-                out.write(f"{ev.t},{ev.i},{ev.j},{ev.yhat:.12g},{ev.g:.12g},"
-                          f"{ev.loss:.12g},{total:.12g}\n")
-                out.flush()
-    finally:
-        if out:
-            out.close()
-    return session, total
-
-
-def comparator_loss(problem: str, seq: Sequence, method: str, tau0: float | None = None):
-    """Offline comparator total for a finished sequence, or None."""
-    if method == "none":
-        return None
-    if problem == "maxcut":
-        _, loss = problems.best_cut_bruteforce(seq.rounds, seq.n)
-        return loss
-    if problem == "gambling":
-        _, loss = problems.best_permutation_bruteforce(seq.rounds, seq.n)
-        return loss
-    if problem == "cf":
-        _, loss = problems.best_cf_subgradient(seq.rounds, seq.m, seq.n, tau0)
-        return loss
-    raise ValueError(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -104,77 +64,79 @@ def write_sequence(path: str, seq: Sequence):
             f.write(f"{t},{i},{j},{lf.kind},{lf.param:.12g}\n")
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill in unset flags from a key = value config file; flags win."""
-    if not getattr(args, "config", None):
-        return
-    values = {}
-    with open(args.config) as f:
-        for line in f:
-            line = line.split("#")[0].strip()
-            if not line:
-                continue
+def _config_argv(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """A key = value config file as flags, for parsing ahead of the command line."""
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as exc:
+        parser.error(f"cannot read config file: {exc}")
+    argv = []
+    for line in lines:
+        line = line.split("#")[0].strip()
+        if line:
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    defaults = {a.dest: a.default for a in parser._actions}
-    for key, val in values.items():
-        if not hasattr(args, key):
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults.get(key):
-            cur = defaults.get(key)
-            cast = type(cur) if cur is not None else str
-            setattr(args, key, cast(val) if cast is not bool else val.lower() in ("1", "true", "yes"))
+            flag = "--" + key.strip().replace("_", "-")
+            if flag not in parser._option_string_actions:
+                parser.error(f"unknown config key {key.strip()!r}")
+            argv.append(f"{flag}={val.strip()}")
+    return argv
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _make_config(args) -> OmpConfig:
-    if args.eta is not None and args.eta <= 0:
-        raise ValueError("eta override must be > 0")
-    if args.problem == "maxcut":
-        return problems.maxcut_config(args.n, args.T, eta=args.eta)
-    if args.problem == "gambling":
-        return problems.gambling_config(args.n, args.T, eta=args.eta)
-    return problems.cf_config(args.m, args.n, args.tau0, args.G, args.T, eta=args.eta)
+def _params(args) -> Params:
+    return Params(n=args.n, T=args.T, m=args.m, tau0=args.tau0, G=args.G,
+                  eta=getattr(args, "eta", None))
 
 
-def _make_sequence(args) -> Sequence:
+def _make_sequence(args, p: Params, seed: int) -> Sequence:
     if args.adversary == "file":
-        return read_sequence(args.sequence_file, args.m or args.n, args.n)
+        return read_sequence(args.sequence_file, p.m, p.n)
     if args.adversary == "lowerbound":
-        if args.problem == "maxcut":
-            return adversaries.maxcut_lb(args.n, args.T, args.seed)
-        if args.problem == "cf":
-            return adversaries.cf_lb(args.m, args.n, args.tau0, args.G, args.T, args.seed)
-        raise ValueError("no lower-bound adversary for gambling")
-    return adversaries.random_adversary(args.problem, args.m or args.n, args.n,
-                                        args.T, args.seed, G=args.G)
+        lb = PROBLEMS[args.problem].lower_bound
+        if lb is None:
+            raise ValueError(f"no lower-bound adversary for {args.problem}")
+        return lb.adversary(p, seed)
+    return PROBLEMS[args.problem].adversary(p, seed)
+
+
+def _play(cfg: OmpConfig, seq: Sequence, seed: int, comparator, trace_path=None) -> float | None:
+    """Run the learner on one seed's sequence and print its line; returns
+    the realized regret, or None without a comparator."""
+    start = time.perf_counter()
+    session, total = run_learner(cfg, seq, trace_path=trace_path)
+    line = f"seed {seed:<4d} cumulative loss {total:.6f}"
+    regret = None
+    if comparator is not None:
+        comp = comparator(seq)
+        regret = total - comp
+        line += f"  comparator loss {comp:.6f}  realized regret {regret:.6f}"
+    print(f"{line}  max eta*||L|| {session.max_eta_norm:.6g}  "
+          f"({time.perf_counter() - start:.2f}s)")
+    return regret
 
 
 def cmd_run(args) -> int:
-    cfg = _make_config(args)
-    seq = _make_sequence(args)
-    start = time.perf_counter()
-    session, total = run_learner(cfg, seq, trace_path=args.out)
-    elapsed = time.perf_counter() - start
-    comp = comparator_loss(args.problem, seq, args.comparator, tau0=getattr(args, "tau0", None))
+    problem = PROBLEMS[args.problem]
+    p = _params(args)
+    cfg = problem.config(p)
+    comparator = None if args.comparator == "none" else partial(problem.comparator, p)
     bound = cfg.regret_bound()
     print(f"problem          {args.problem}")
-    print(f"rounds           {len(seq)}")
+    print(f"rounds           {p.T}")
     print(f"eta              {cfg.eta:.6g}")
-    print(f"max eta*||L||    {session.max_eta_norm:.6g}")
-    print(f"cumulative loss  {total:.6f}")
-    if comp is not None:
-        report = problems.evaluate_run(total, comp, bound)
-        print(f"comparator loss  {comp:.6f}")
-        print(f"realized regret  {report.regret:.6f}")
-        print(f"theoretical bound {bound:.6f}")
-        print(f"bound satisfied  {report.bound_satisfied}")
-    else:
-        print(f"theoretical bound {bound:.6f}")
-    print(f"wall time        {elapsed:.2f}s")
-    return 0
+    print(f"theoretical bound {bound:.6f}")
+    regrets = [_play(cfg, _make_sequence(args, p, s), s, comparator, args.out)
+               for s in range(args.seed, args.seed + args.seeds)]
+    if comparator is None:
+        return 0
+    worst = max(regrets)
+    print(f"mean regret      {np.mean(regrets):.6f}")
+    print(f"max regret       {worst:.6f}")
+    print(f"bound satisfied  {worst <= bound}")
+    return 0 if worst <= bound else 1
 
 
 def cmd_decompose(args) -> int:
@@ -208,33 +170,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    regrets = []
-    for s in seeds:
-        if args.problem == "maxcut":
-            seq = adversaries.maxcut_lb(args.n, args.T, s)
-            cfg = problems.maxcut_config(args.n, args.T)
-            _, total = run_learner(cfg, seq)
-            _, comp = problems.best_cut_bruteforce(seq.rounds, args.n)
-        elif args.problem == "cf":
-            seq = adversaries.cf_lb(args.m, args.n, args.tau0, args.G, args.T, s)
-            cfg = problems.cf_config(args.m, args.n, args.tau0, args.G, args.T)
-            _, total = run_learner(cfg, seq)
-            Wstar = adversaries.cf_lb_comparator(seq, args.tau0, args.G)
-            comp = problems.comparator_matrix_value(seq.rounds, Wstar)
-        else:
-            raise ValueError("lower bounds exist for maxcut and cf only")
-        regrets.append(total - comp)
-    regrets = np.array(regrets)
-    if args.problem == "maxcut":
-        theorem = math.sqrt(args.n * args.T / 16)
-    else:
-        theorem = args.G * math.sqrt(0.5 * args.tau0 * math.sqrt(args.n) * args.T)
-    print(f"seeds            {len(seeds)}")
+    lb = PROBLEMS[args.problem].lower_bound
+    p = _params(args)
+    cfg = PROBLEMS[args.problem].config(p)
+    regrets = np.array([_play(cfg, lb.adversary(p, s), s, partial(lb.comparator, p))
+                        for s in range(args.seed, args.seed + args.seeds)])
+    print(f"seeds            {args.seeds}")
     print(f"mean regret      {regrets.mean():.4f}")
-    if len(seeds) > 1:
+    if args.seeds > 1:
         print(f"stddev regret    {regrets.std(ddof=1):.4f}")
-    print(f"theorem value    {theorem:.4f}")
+    print(f"theorem value    {lb.theorem(p):.4f}")
     return 0
 
 
@@ -302,23 +247,31 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _count(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matpred",
                                      description="Online matrix prediction harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the learner against an adversary")
-    run.add_argument("--problem", choices=["maxcut", "gambling", "cf"], required=True)
+    run.add_argument("--problem", choices=list(PROBLEMS), required=True)
     run.add_argument("--n", type=int, default=8)
     run.add_argument("--m", type=int, default=None)
     run.add_argument("--tau0", type=float, default=None, help="trace-norm bound (cf)")
     run.add_argument("--G", type=float, default=1.0, help="Lipschitz bound (cf)")
     run.add_argument("--T", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, default=0, help="first seed")
+    run.add_argument("--seeds", type=_count, default=1, help="number of seeds")
     run.add_argument("--eta", type=float, default=None, help="learning rate override")
     run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random")
     run.add_argument("--sequence-file", default=None)
-    run.add_argument("--out", default=None, help="CSV trace path")
+    run.add_argument("--out", default=None, help="CSV trace path (of the last seed)")
     run.add_argument("--comparator", choices=["bruteforce", "subgradient", "none"],
                      default="bruteforce")
     run.add_argument("--config", default=None, help="key = value config file; flags win")
@@ -336,14 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(func=cmd_decompose, parser=dec)
 
     lb = sub.add_parser("lowerbound", help="aggregate a lower-bound adversary over seeds")
-    lb.add_argument("--problem", choices=["maxcut", "cf"], required=True)
+    lb.add_argument("--problem", required=True,
+                    choices=[name for name, pr in PROBLEMS.items() if pr.lower_bound])
     lb.add_argument("--n", type=int, default=8)
     lb.add_argument("--m", type=int, default=4)
     lb.add_argument("--tau0", type=float, default=4.0)
     lb.add_argument("--G", type=float, default=1.0)
     lb.add_argument("--T", type=int, default=4096)
     lb.add_argument("--seed", type=int, default=1, help="first seed")
-    lb.add_argument("--seeds", type=int, default=1, help="number of seeds")
+    lb.add_argument("--seeds", type=_count, default=1, help="number of seeds")
     lb.set_defaults(func=cmd_lowerbound, parser=lb)
 
     ver = sub.add_parser("verify", help="run invariant suites at desk scale")
@@ -354,14 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.command == "run" and args.problem == "maxcut":
-        args.G = 0.5
-    if args.command == "run" and args.problem == "cf" and args.tau0 is None:
-        args.tau0 = float(args.m or args.n)
-    if args.command == "run" and args.m is None:
-        args.m = args.n
-    _apply_config_file(args, args.parser)
+    if getattr(args, "config", None):
+        # The subcommand comes first; flags parsed later win over the file's.
+        args = parser.parse_args(argv[:1] + _config_argv(args.config, args.parser) + argv[1:])
     try:
         return args.func(args)
     except (ValueError, IndexError, RuntimeError) as exc:

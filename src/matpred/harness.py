@@ -1,0 +1,117 @@
+"""Experiment harness: the problem registry and the learner loop.
+
+Each comparison class plugs into the one learner through a `Problem`
+entry: its config, its random adversary, its offline comparator and, where
+the paper proves one, its lower-bound construction with the planted
+comparator and the theorem's regret value. The CLI reads `PROBLEMS`
+rather than branching on the problem name.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+from . import adversaries, problems
+from .adversaries import Sequence
+from .omp import OmpConfig, new_session, omp_round
+
+
+@dataclass(frozen=True)
+class Params:
+    """Sizes and scales of one experiment.
+
+    m defaults to n, and the trace-norm bound tau0 (read by CF alone)
+    defaults to m.
+    """
+
+    n: int
+    T: int
+    m: int | None = None
+    tau0: float | None = None
+    G: float = 1.0
+    eta: float | None = None
+
+    def __post_init__(self):
+        if self.m is None:
+            object.__setattr__(self, "m", self.n)
+        if self.tau0 is None:
+            object.__setattr__(self, "tau0", float(self.m))
+
+
+@dataclass(frozen=True)
+class LowerBound:
+    """A stochastic adversary, its planted comparator's loss on a sequence,
+    and the regret the theorem says the adversary forces."""
+
+    adversary: Callable[[Params, int], Sequence]
+    comparator: Callable[[Params, Sequence], float]
+    theorem: Callable[[Params], float]
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One comparison class: config, random adversary (params, seed), and
+    offline comparator loss of a finished sequence."""
+
+    config: Callable[[Params], OmpConfig]
+    adversary: Callable[[Params, int], Sequence]
+    comparator: Callable[[Params, Sequence], float]
+    lower_bound: LowerBound | None = None
+
+
+def _best_cut_loss(p: Params, seq: Sequence) -> float:
+    return problems.best_cut_bruteforce(seq.rounds, seq.n)[1]
+
+
+PROBLEMS = {
+    "maxcut": Problem(
+        config=lambda p: problems.maxcut_config(p.n, p.T, eta=p.eta),
+        adversary=lambda p, seed: adversaries.random_adversary("maxcut", p.m, p.n, p.T, seed),
+        comparator=_best_cut_loss,
+        lower_bound=LowerBound(
+            adversary=lambda p, seed: adversaries.maxcut_lb(p.n, p.T, seed),
+            comparator=_best_cut_loss,
+            theorem=lambda p: math.sqrt(p.n * p.T / 16),
+        ),
+    ),
+    "gambling": Problem(
+        config=lambda p: problems.gambling_config(p.n, p.T, eta=p.eta),
+        adversary=lambda p, seed: adversaries.random_adversary("gambling", p.m, p.n, p.T, seed),
+        comparator=lambda p, seq: problems.best_permutation_bruteforce(seq.rounds, seq.n)[1],
+    ),
+    "cf": Problem(
+        config=lambda p: problems.cf_config(p.m, p.n, p.tau0, p.G, p.T, eta=p.eta),
+        adversary=lambda p, seed: adversaries.random_adversary("cf", p.m, p.n, p.T, seed, G=p.G),
+        comparator=lambda p, seq: problems.best_cf_subgradient(seq.rounds, seq.m, seq.n, p.tau0)[1],
+        lower_bound=LowerBound(
+            adversary=lambda p, seed: adversaries.cf_lb(p.m, p.n, p.tau0, p.G, p.T, seed),
+            comparator=lambda p, seq: problems.comparator_matrix_value(
+                seq.rounds, adversaries.cf_lb_comparator(seq, p.tau0, p.G)),
+            theorem=lambda p: p.G * math.sqrt(0.5 * p.tau0 * math.sqrt(p.n) * p.T),
+        ),
+    ),
+}
+
+
+def run_learner(cfg: OmpConfig, seq: Sequence, trace_path: str | None = None):
+    """Run the prediction engine over a sequence. Returns (session, total loss)."""
+    session = new_session(cfg)
+    total = 0.0
+    out = open(trace_path, "w") if trace_path else None
+    try:
+        if out:
+            out.write("t,i,j,yhat,g,loss,cumloss\n")
+        for (i, j), lf in seq.rounds:
+            yhat, session = omp_round(session, i, j, lf)
+            ev = session.last_event
+            total += ev.loss
+            if out:
+                out.write(f"{ev.t},{ev.i},{ev.j},{ev.yhat:.12g},{ev.g:.12g},"
+                          f"{ev.loss:.12g},{total:.12g}\n")
+                out.flush()
+    finally:
+        if out:
+            out.close()
+    return session, total

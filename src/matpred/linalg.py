@@ -62,20 +62,10 @@ def eig_sym(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[idx], V[:, idx]
 
 
-def matrix_fn(M: np.ndarray, f, *, floor: float | None = None) -> np.ndarray:
-    """Apply a scalar function to the spectrum: V diag(f(lam)) V.T.
-
-    If `floor` is given, eigenvalues are clipped from below first (used to
-    keep matrix logarithms well defined).
-    """
-    lam, V = eig_sym(M)
-    if floor is not None:
-        lam = np.maximum(lam, floor)
-    return sym_average((V * f(lam)) @ V.T)
-
-
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    return matrix_fn(M, np.exp)
+    """Matrix exponential of a symmetric matrix: V diag(exp(lam)) V.T."""
+    lam, V = eig_sym(M)
+    return sym_average((V * np.exp(lam)) @ V.T)
 
 
 def matrix_log(M: np.ndarray, *, flooring: bool = True) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import eig_sym, inner, matrix_log, sym_average
+from .linalg import inner, matrix_exp, matrix_log, sym_average
 
 
 class ProjectionError(RuntimeError):
@@ -76,13 +76,7 @@ def exp_step(state: OloState, L: np.ndarray) -> np.ndarray:
     L = np.asarray(L, dtype=float)
     if L.shape != state.X.shape:
         raise ValueError("exp_step: loss matrix order mismatch")
-    lam, V = eig_sym(matrix_log(state.X) - state.eta * L)
-    return sym_average((V * np.exp(lam)) @ V.T)
-
-
-def _exp_of(B: np.ndarray) -> np.ndarray:
-    lam, V = eig_sym(B)
-    return sym_average((V * np.exp(lam)) @ V.T)
+    return matrix_exp(matrix_log(state.X) - state.eta * L)
 
 
 def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
@@ -100,7 +94,7 @@ def dual_objective(Y: np.ndarray, cs: ConstraintSet, alpha: np.ndarray) -> float
     B = matrix_log(Y)
     for a, c in zip(alpha, cs.constraints):
         B = B - a * c.A
-    return -float(np.trace(_exp_of(B))) - float(sum(a * c.b for a, c in zip(alpha, cs.constraints)))
+    return -float(np.trace(matrix_exp(B))) - float(sum(a * c.b for a, c in zip(alpha, cs.constraints)))
 
 
 def dual_gradient(Y: np.ndarray, cs: ConstraintSet, alpha: np.ndarray) -> np.ndarray:
@@ -109,7 +103,7 @@ def dual_gradient(Y: np.ndarray, cs: ConstraintSet, alpha: np.ndarray) -> np.nda
     B = matrix_log(Y)
     for a, c in zip(alpha, cs.constraints):
         B = B - a * c.A
-    X = _exp_of(B)
+    X = matrix_exp(B)
     return np.array([inner(c.A, X) - c.b for c in cs.constraints])
 
 
@@ -125,14 +119,14 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
     logY = matrix_log(Y)
     alpha = np.zeros(m)
     if m == 0:
-        return _exp_of(logY), alpha
+        return matrix_exp(logY), alpha
 
     identity = np.eye(cs.order)
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
     boxes = [_dual_box(c, cs.tau, cs.order) for c in cs.constraints]
 
     # Fast path: Y itself (after eigenvalue flooring) may already be feasible.
-    X = _exp_of(logY)
+    X = matrix_exp(logY)
     if all(inner(c.A, X) <= c.b + tol * (1.0 + abs(c.b)) for c in cs.constraints):
         return X, alpha
 
@@ -143,13 +137,13 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
             if is_identity[j]:
                 # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
                 # closed form.
-                tr = float(np.trace(_exp_of(B)))
+                tr = float(np.trace(matrix_exp(B)))
                 new = 0.0 if tr <= c.b else min(float(np.log(tr / c.b)), boxes[j])
             else:
                 new = _bisect_coordinate(B, c, boxes[j], tol)
             weighted = weighted + (new - alpha[j]) * c.A
             alpha[j] = new
-        X = _exp_of(logY - weighted)
+        X = matrix_exp(logY - weighted)
         vals = np.array([inner(c.A, X) for c in cs.constraints])
         primal = max(
             max(float((vals[j] - cs.constraints[j].b) / (1.0 + abs(cs.constraints[j].b)))
@@ -174,7 +168,7 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float, tol: float) -
     monotone decreasing in a, so plain bisection applies."""
 
     def g(a):
-        return inner(c.A, _exp_of(B - a * c.A)) - c.b
+        return inner(c.A, matrix_exp(B - a * c.A)) - c.b
 
     gtol = 0.1 * tol * max(1.0, abs(c.b))
     if g(0.0) <= gtol:

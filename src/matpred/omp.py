@@ -14,7 +14,7 @@ numbering of the predicted matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class OmpSession:
     config: OmpConfig
     pending: np.ndarray  # exponentiated step awaiting projection
     round: int = 1
-    history: list = field(default_factory=list)
+    last_event: LossEvent | None = None
     last_X: np.ndarray | None = None
     max_eta_norm: float = 0.0  # max eta * ||L_t|| observed
 
@@ -174,6 +174,10 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     cfg = session.config
     if session.round > cfg.T:
         raise InvariantViolation(f"round {session.round} exceeds horizon T={cfg.T}")
+    if cfg.symmetric_class and i == j:
+        # K_t and L_t assume two distinct mirrored entries; the diagonal of
+        # a symmetric class member (a cut matrix's is -1) is not predicted.
+        raise IndexError(f"entry ({i}, {j}) is on the diagonal of a symmetric class")
     cs = constraints_Kt(i, j, cfg)
     X, _ = project_qre(session.pending, cs)
     yhat = predict(X, i, j, cfg)
@@ -190,7 +194,7 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     state = OloState(X=X, eta=cfg.eta, tau=cfg.tau, N=2 * cfg.p, round=session.round)
     session.pending = exp_step(state, L)
     session.last_X = X
-    session.history.append(LossEvent(t=session.round, i=i, j=j, yhat=yhat, g=g, loss=loss))
+    session.last_event = LossEvent(t=session.round, i=i, j=j, yhat=yhat, g=g, loss=loss)
     session.round += 1
     return yhat, session
 

@@ -1,10 +1,28 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from matpred import cli
-from matpred.adversaries import random_adversary
+from matpred.adversaries import Sequence, random_adversary
 from matpred.cli import main, read_matrix, read_sequence, write_matrix, write_sequence
-from matpred.problems import maxcut_config
+from matpred.harness import run_learner
+from matpred.problems import LossFn, maxcut_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SEED_LINE = re.compile(r"seed (\d+) +cumulative loss (\S+)  comparator loss (\S+)  "
+                       r"realized regret (\S+)")
+
+
+def seed_lines(out: str) -> list[tuple[int, float, float, float]]:
+    return [(int(m[1]), float(m[2]), float(m[3]), float(m[4])) for m in SEED_LINE.finditer(out)]
+
+
+def value(out: str, label: str) -> float:
+    return float(re.search(rf"^{re.escape(label)} +(\S+)$", out, re.M)[1])
 
 
 class TestMatrixIo:
@@ -76,6 +94,42 @@ class TestRunCommand:
                    "--config", str(cfgfile)])
         assert rc == 0
         assert "rounds           20" in capsys.readouterr().out
+
+    def test_config_file_eta_is_cast_to_float(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("eta = 0.1\n")
+        rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "10",
+                   "--config", str(cfgfile)])
+        assert rc == 0
+        assert value(capsys.readouterr().out, "eta") == 0.1
+
+    def test_config_file_tau0_and_m_are_read(self, tmp_path, capsys):
+        base = ["run", "--problem", "cf", "--n", "4", "--T", "10", "--comparator", "none"]
+        assert main(base) == 0
+        default_bound = value(capsys.readouterr().out, "theoretical bound")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("tau0 = 2\nm = 3\n")
+        assert main(base + ["--config", str(cfgfile)]) == 0
+        bound = value(capsys.readouterr().out, "theoretical bound")
+        # 2 G sqrt(2 tau0 sqrt(m + n) log(2 (m + n)) T)
+        assert bound == pytest.approx(2 * np.sqrt(4.0 * np.sqrt(7) * np.log(14) * 10), abs=1e-6)
+        assert bound != pytest.approx(default_bound)
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("bogus = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "maxcut", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
+
+    def test_diagonal_query_is_error(self, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        path.write_text("t,i,j,kind,param\n1,1,2,absolute_halved,1\n2,3,3,absolute_halved,1\n")
+        rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "2",
+                   "--adversary", "file", "--sequence-file", str(path)])
+        assert rc == 1
+        assert "error: entry (3, 3) is on the diagonal" in capsys.readouterr().err
 
     def test_bad_eta_is_usage_error(self, capsys):
         rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "10",
@@ -156,9 +210,100 @@ class TestVerifyCommand:
 
 
 class TestRunLearner:
-    def test_totals_match_history(self):
+    def test_totals_match_history(self, tmp_path):
         cfg = maxcut_config(n=4, T=25)
         seq = random_adversary("maxcut", 4, 4, T=25, seed=7)
-        session, total = cli.run_learner(cfg, seq)
-        assert total == pytest.approx(sum(ev.loss for ev in session.history))
-        assert len(session.history) == 25
+        trace = tmp_path / "trace.csv"
+        session, total = run_learner(cfg, seq, trace_path=str(trace))
+        losses = [float(line.split(",")[5]) for line in trace.read_text().splitlines()[1:]]
+        assert len(losses) == 25 and session.last_event.t == 25
+        assert total == pytest.approx(sum(losses))
+
+
+# The numbers below are those of the former sweep scripts on the same seeds:
+# run_regret.py --n 4 --T 40 --seeds 3 (plus --m 4 --tau0 4 for cf) and
+# run_lowerbounds.py --n 4 --T 64 --cf-m 4 --cf-n 4 --tau0 4 --seeds 2.
+# Each row is (seed, learner loss, comparator loss, regret).
+SWEEP_RUNS = {
+    "maxcut": (18.24035763544053, [(1, 19.41843287656934, 14.0, 5.418432876569341),
+                                   (2, 21.97464396038228, 19.0, 2.9746439603822807),
+                                   (3, 19.577190061198902, 15.0, 4.577190061198902)]),
+    "gambling": (252.74580938247928, [(1, 18.84219277828747, 13.0, 5.842192778287469),
+                                      (2, 22.995990057947434, 13.0, 9.995990057947434),
+                                      (3, 16.230121643182, 9.0, 7.230121643181999)]),
+    "cf": (100.18903826825529, [(1, 0.23382954395215796, -8.362019032052947, 8.595848576005105),
+                                (2, -0.08010643062316178, -9.543544590313683, 9.463438159690522),
+                                (3, 0.1340486941996419, -7.541825543286134, 7.675874237485775)]),
+}
+SWEEP_LOWERBOUNDS = {
+    "maxcut": (4.0, [(1, 28.229775582472595, 23.0, 5.229775582472595),
+                     (2, 33.56198605317408, 29.0, 4.561986053174081)]),
+    "cf": (16.0, [(1, -5.486726627117005, -26.0, 20.513273372882995),
+                  (2, -1.817668539361455, -22.0, 20.182331460638544)]),
+}
+
+
+class TestSweepParity:
+    @pytest.mark.parametrize("problem", sorted(SWEEP_RUNS))
+    def test_run_seeds(self, problem, capsys):
+        bound, rows = SWEEP_RUNS[problem]
+        rc = main(["run", "--problem", problem, "--n", "4", "--m", "4", "--tau0", "4",
+                   "--T", "40", "--seed", "1", "--seeds", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert seed_lines(out) == [pytest.approx(r, abs=1e-6) for r in rows]
+        regrets = [r[3] for r in rows]
+        assert value(out, "theoretical bound") == pytest.approx(bound, abs=1e-6)
+        assert value(out, "mean regret") == pytest.approx(np.mean(regrets), abs=1e-6)
+        assert value(out, "max regret") == pytest.approx(max(regrets), abs=1e-6)
+
+    @pytest.mark.parametrize("problem", sorted(SWEEP_LOWERBOUNDS))
+    def test_lowerbound(self, problem, capsys):
+        theorem, rows = SWEEP_LOWERBOUNDS[problem]
+        rc = main(["lowerbound", "--problem", problem, "--n", "4", "--m", "4", "--tau0", "4",
+                   "--T", "64", "--seed", "1", "--seeds", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert seed_lines(out) == [pytest.approx(r, abs=1e-6) for r in rows]
+        assert value(out, "mean regret") == pytest.approx(np.mean([r[3] for r in rows]), abs=1e-4)
+        assert value(out, "theorem value") == theorem
+
+
+def matpred(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "matpred", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+
+
+class TestExitCodes:
+    def test_success(self):
+        res = matpred("run", "--problem", "maxcut", "--n", "4", "--T", "20")
+        assert (res.returncode, res.stderr) == (0, "")
+
+    def test_bound_broken(self, tmp_path):
+        # A learner frozen at 0 pays 1/2 a round on a label the best cut gets
+        # right: regret 50 against a bound of sqrt(4 log(8) 100) ~ 28.8.
+        path = tmp_path / "seq.csv"
+        write_sequence(str(path), Sequence(4, 4, 0, (((1, 2), LossFn("absolute_halved", 1.0)),) * 100))
+        res = matpred("run", "--problem", "maxcut", "--n", "4", "--T", "100", "--eta", "1e-9",
+                      "--adversary", "file", "--sequence-file", str(path))
+        assert res.returncode == 1
+        assert "bound satisfied  False" in res.stdout
+        assert "Traceback" not in res.stderr
+
+    def test_invariant_failure(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("t,i,j,kind,param\n1,2,2,absolute_halved,1\n")
+        res = matpred("run", "--problem", "maxcut", "--n", "4", "--T", "1",
+                      "--adversary", "file", "--sequence-file", str(path))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--problem", "maxcut", "--seeds", "0"),
+        ("run", "--problem", "maxcut", "--config", "missing.cfg"),
+        ("lowerbound", "--problem", "gambling"),
+    ])
+    def test_usage_error(self, argv):
+        res = matpred(*argv)
+        assert res.returncode == 2
+        assert "error:" in res.stderr and "Traceback" not in res.stderr

@@ -19,7 +19,7 @@ from matpred.omp import (
     omp_round,
     predict,
 )
-from matpred.problems import LossFn, maxcut_config
+from matpred.problems import LossFn, cf_config, maxcut_config
 
 
 def small_cfg(**kw):
@@ -155,7 +155,7 @@ class TestOmpRound:
         cfg = maxcut_config(n=3, T=5)
         s = new_session(cfg)
         yhat, s = omp_round(s, 1, 2, LossFn("absolute_halved", 1.0))
-        ev = s.history[0]
+        ev = s.last_event
         assert ev.t == 1 and (ev.i, ev.j) == (1, 2)
         assert ev.yhat == yhat
         assert ev.loss == pytest.approx(0.5 * abs(yhat - 1.0))
@@ -191,6 +191,26 @@ class TestOmpRound:
             assert float(np.trace(s.last_X)) <= cfg.tau + 1e-6
             assert np.min(np.linalg.eigvalsh(s.last_X)) >= -1e-9
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["maxcut", "cf"]),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from([-1.0, 1.0])),
+                    min_size=1, max_size=20))
+    def test_any_entry_is_rejected_or_predicted_in_range(self, kind, queries):
+        # A symmetric class rejects its diagonal; every other entry, the
+        # diagonal of a non-symmetric class included, is predicted in range.
+        if kind == "maxcut":
+            cfg, loss = maxcut_config(n=4, T=20), "absolute_halved"
+        else:
+            cfg, loss = cf_config(4, 4, 4.0, 1.0, T=20), "linear"
+        s = new_session(cfg)
+        for i, j, y in queries:
+            if cfg.symmetric_class and i == j:
+                with pytest.raises(IndexError, match=rf"entry \({i}, {j}\)"):
+                    omp_round(s, i, j, LossFn(loss, y))
+                continue
+            yhat, s = omp_round(s, i, j, LossFn(loss, y))
+            assert cfg.prediction_range[0] <= yhat <= cfg.prediction_range[1]
+
     def test_end_to_end_regret_under_bound(self):
         # regret against the best cut must respect the closed-form bound
         from matpred.problems import best_cut_bruteforce
@@ -206,6 +226,6 @@ class TestOmpRound:
             lf = LossFn("absolute_halved", float(rng.choice([-1.0, 1.0])))
             records.append(((int(i), int(j)), lf))
             _, s = omp_round(s, int(i), int(j), lf)
-            total += s.history[-1].loss
+            total += s.last_event.loss
         _, best = best_cut_bruteforce(records, n)
         assert total - best <= cfg.regret_bound()
