@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import CutSet, Permutation, cut_matrix, perm_matrix, trace_norm
-from .omp import OmpConfig
+from .omp import CLAMP_SLACK, OmpConfig
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,10 @@ class LossFn:
 
     kinds: "absolute_halved" (param = label, Lipschitz 1/2), "absolute"
     (param = label, Lipschitz 1), "linear" (param = coefficient,
-    Lipschitz |param|). Subgradient at the kink of the absolute losses
-    is 0.
+    Lipschitz |param|). The subgradient of the absolute losses is 0
+    within CLAMP_SLACK of the kink, so round-off in a prediction clamped
+    onto its label cannot pick a branch; this costs at most
+    G * CLAMP_SLACK of regret per round.
     """
 
     kind: str
@@ -43,10 +45,10 @@ class LossFn:
         raise ValueError(f"unknown loss kind {self.kind!r}")
 
     def subgradient(self, yhat: float) -> float:
-        if self.kind == "absolute_halved":
-            return 0.5 * float(np.sign(yhat - self.param))
-        if self.kind == "absolute":
-            return float(np.sign(yhat - self.param))
+        if self.kind in ("absolute_halved", "absolute"):
+            d = yhat - self.param
+            sign = 0.0 if abs(d) <= CLAMP_SLACK else float(np.sign(d))
+            return 0.5 * sign if self.kind == "absolute_halved" else sign
         if self.kind == "linear":
             return self.param
         raise ValueError(f"unknown loss kind {self.kind!r}")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from matpred.decompose import CutSet, Permutation, cut_matrix, perm_matrix
 from matpred.linalg import trace_norm
+from matpred.omp import CLAMP_SLACK
 from matpred.problems import (
     LossFn,
     best_cf_subgradient,
@@ -40,6 +41,14 @@ class TestLossFn:
         assert lf.subgradient(0.3) == 1.0
         assert lf.lipschitz == 1.0
 
+    @pytest.mark.parametrize("kind, G", [("absolute_halved", 0.5), ("absolute", 1.0)])
+    def test_subgradient_is_zero_near_the_kink(self, kind, G):
+        lf = LossFn(kind, 1.0)
+        assert lf.subgradient(1.0 - 2.6e-29) == 0.0
+        assert lf.subgradient(1.0 + CLAMP_SLACK) == 0.0
+        assert lf.subgradient(1.0 - 2 * CLAMP_SLACK) == -G
+        assert lf.subgradient(1.0 + 2 * CLAMP_SLACK) == G
+
     def test_linear(self):
         lf = LossFn("linear", -0.7)
         assert lf.value(0.5) == pytest.approx(-0.35)
@@ -55,8 +64,10 @@ class TestLossFn:
            st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
     def test_convexity_via_subgradient(self, kind, param, x, y):
         lf = LossFn(kind, param)
-        # first-order condition: f(y) >= f(x) + g(x) (y - x)
-        assert lf.value(y) >= lf.value(x) + lf.subgradient(x) * (y - x) - 1e-12
+        # first-order condition f(y) >= f(x) + g(x) (y - x), short by at
+        # most G * CLAMP_SLACK where g is zeroed near the kink
+        slack = lf.lipschitz * CLAMP_SLACK + 1e-12
+        assert lf.value(y) >= lf.value(x) + lf.subgradient(x) * (y - x) - slack
 
 
 class TestConfigs:
