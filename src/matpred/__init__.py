@@ -13,7 +13,7 @@ from .decompose import (
     validate,
 )
 from .linalg import eig_sym, inner, qre, symmetrize, trace_norm
-from .mmw import ConstraintSet, LinConstraint, OloState, init_state, olo_round, project_qre
+from .mmw import ConstraintSet, LinConstraint, project_qre
 from .omp import OmpConfig, OmpSession, new_session, omp_round
 from .problems import LossFn, cf_config, gambling_config, maxcut_config
 
@@ -22,7 +22,7 @@ __all__ = [
     "decompose_cut", "decompose_permutation", "decompose_trace_norm",
     "decompose_triangular", "validate",
     "eig_sym", "inner", "qre", "symmetrize", "trace_norm",
-    "ConstraintSet", "LinConstraint", "OloState", "init_state", "olo_round", "project_qre",
+    "ConstraintSet", "LinConstraint", "project_qre",
     "OmpConfig", "OmpSession", "new_session", "omp_round",
     "LossFn", "cf_config", "gambling_config", "maxcut_config",
 ]

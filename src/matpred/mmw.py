@@ -1,10 +1,12 @@
 """Online linear optimization over PSD matrices.
 
-The engine takes exponentiated-gradient steps exp(log X - eta L) and then
-Bregman-projects back onto a small linear-constraint polytope, using the
-dual form of the quantum-relative-entropy projection: the projected point is
-X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha maximizing
--Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j.
+The engine takes exponentiated-gradient steps Y = exp(log X - eta L) and
+then Bregman-projects back onto a small linear-constraint polytope, using
+the dual form of the quantum-relative-entropy projection: the projected
+point is X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha
+maximizing -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j. Both steps
+have a closed-form logarithm, so a caller that keeps log X never needs a
+matrix logarithm to take the next step.
 
 The dual has at most a handful of variables, so it is solved by cyclic
 coordinate ascent with scalar bisection; the trace constraint (A = I) has a
@@ -14,7 +16,7 @@ with b >= 1; a homogeneous constraint (b < 1) gets a widened box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,28 +57,13 @@ class ConstraintSet:
                 raise ValueError("constraint matrix order mismatch")
 
 
-@dataclass(frozen=True)
-class OloState:
-    X: np.ndarray
-    eta: float
-    tau: float
-    N: int
-    round: int
-
-
-def init_state(tau: float, N: int, eta: float) -> OloState:
-    """Initial iterate (tau / N) I at round 1."""
-    if tau <= 0 or N < 1 or eta <= 0:
-        raise ValueError("init_state: need tau > 0, N >= 1, eta > 0")
-    return OloState(X=(tau / N) * np.eye(N), eta=eta, tau=tau, N=N, round=1)
-
-
-def exp_step(state: OloState, L: np.ndarray) -> np.ndarray:
-    """The unprojected update exp(log X - eta L)."""
+def exp_step(log_X: np.ndarray, L: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The unprojected update Y = exp(log X - eta L), returned with log Y."""
     L = np.asarray(L, dtype=float)
-    if L.shape != state.X.shape:
+    if L.shape != log_X.shape:
         raise ValueError("exp_step: loss matrix order mismatch")
-    return matrix_exp(matrix_log(state.X) - state.eta * L)
+    log_Y = log_X - eta * L
+    return matrix_exp(log_Y), log_Y
 
 
 def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
@@ -88,49 +75,27 @@ def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
     return 3.0 * tau + np.log(max(3.0 * tau * order, 2.0))
 
 
-def dual_objective(Y: np.ndarray, cs: ConstraintSet, alpha: np.ndarray) -> float:
-    """The concave dual value -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j."""
-    alpha = np.asarray(alpha, dtype=float)
-    B = matrix_log(Y)
-    for a, c in zip(alpha, cs.constraints):
-        B = B - a * c.A
-    return -float(np.trace(matrix_exp(B))) - float(sum(a * c.b for a, c in zip(alpha, cs.constraints)))
-
-
-def dual_gradient(Y: np.ndarray, cs: ConstraintSet, alpha: np.ndarray) -> np.ndarray:
-    """Gradient of the dual in alpha_j: A_j . X(alpha) - b_j."""
-    alpha = np.asarray(alpha, dtype=float)
-    B = matrix_log(Y)
-    for a, c in zip(alpha, cs.constraints):
-        B = B - a * c.A
-    X = matrix_exp(B)
-    return np.array([inner(c.A, X) - c.b for c in cs.constraints])
-
-
 def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
                 max_sweeps: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-relative-entropy projection of Y onto the polytope of cs.
 
-    Returns (X*, duals). X* = exp(log Y - sum alpha_j A_j) is automatically
-    positive definite; on success it is primal feasible and satisfies
-    complementary slackness, both within tol * (1 + |b_j|) per constraint.
+    Y must be symmetric positive definite. Returns (X*, duals). When Y is
+    already feasible it is returned as is with zero duals; otherwise
+    X* = exp(log Y - sum alpha_j A_j) is positive definite, primal feasible
+    and complementary slack, both within tol * (1 + |b_j|) per constraint.
+    Only this second case takes log Y, with its eigenvalue floor.
     """
     m = len(cs.constraints)
-    logY = matrix_log(Y)
     alpha = np.zeros(m)
-    if m == 0:
-        return matrix_exp(logY), alpha
+    if all(inner(c.A, Y) <= c.b + tol * (1.0 + abs(c.b)) for c in cs.constraints):
+        return Y, alpha
 
+    logY = matrix_log(Y)
     identity = np.eye(cs.order)
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
     boxes = [_dual_box(c, cs.tau, cs.order) for c in cs.constraints]
 
-    # Fast path: Y itself (after eigenvalue flooring) may already be feasible.
-    X = matrix_exp(logY)
-    if all(inner(c.A, X) <= c.b + tol * (1.0 + abs(c.b)) for c in cs.constraints):
-        return X, alpha
-
-    weighted = sum(a * c.A for a, c in zip(alpha, cs.constraints))
+    weighted = np.zeros_like(logY)
     for _ in range(max_sweeps):
         for j, c in enumerate(cs.constraints):
             B = logY - (weighted - alpha[j] * c.A)
@@ -188,12 +153,3 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float, tol: float) -
         if hi_a - lo_a <= 1e-14 * max(1.0, hi):
             break
     return 0.5 * (lo_a + hi_a)
-
-
-def olo_round(state: OloState, L: np.ndarray, cs: ConstraintSet,
-              tol: float = 1e-7) -> tuple[float, OloState]:
-    """One round of the OLO protocol: pay X . L, then step and project."""
-    loss = inner(state.X, L)
-    Y = exp_step(state, L)
-    X_new, _ = project_qre(Y, cs, tol=tol)
-    return loss, replace(state, X=X_new, round=state.round + 1)

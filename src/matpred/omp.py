@@ -5,7 +5,9 @@ halves carry the positive and negative parts of the predicted matrix. Each
 round proceeds in the order: receive the queried entry, project the pending
 exponentiated step onto the four-constraint polytope for that entry, read
 off the prediction, evaluate the loss, and stash the next exponentiated
-step.
+step. The session also carries the pending step's logarithm: the
+projection subtracts sum_j alpha_j A_j from it and the step subtracts
+eta L, so the step takes no matrix logarithm.
 
 Entry indices on the API surface are 1-based, matching the row/column
 numbering of the predicted matrix.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .linalg import inner
-from .mmw import ConstraintSet, LinConstraint, OloState, exp_step, init_state, project_qre
+from .mmw import ConstraintSet, LinConstraint, exp_step, project_qre
 
 # Predictions within this distance outside the range are clamped and
 # recorded; anything farther is an invariant violation.
@@ -105,6 +107,7 @@ class OmpSession:
 
     config: OmpConfig
     pending: np.ndarray  # exponentiated step awaiting projection
+    log_pending: np.ndarray  # its logarithm
     round: int = 1
     last_event: LossEvent | None = None
     last_X: np.ndarray | None = None
@@ -113,7 +116,8 @@ class OmpSession:
 
 def new_session(cfg: OmpConfig) -> OmpSession:
     N = 2 * cfg.p
-    return OmpSession(config=cfg, pending=(cfg.tau / N) * np.eye(N))
+    return OmpSession(config=cfg, pending=(cfg.tau / N) * np.eye(N),
+                      log_pending=math.log(cfg.tau / N) * np.eye(N))
 
 
 def predict(X: np.ndarray, i: int, j: int, cfg: OmpConfig) -> float:
@@ -179,7 +183,7 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
         # a symmetric class member (a cut matrix's is -1) is not predicted.
         raise IndexError(f"entry ({i}, {j}) is on the diagonal of a symmetric class")
     cs = constraints_Kt(i, j, cfg)
-    X, _ = project_qre(session.pending, cs)
+    X, duals = project_qre(session.pending, cs)
     yhat = predict(X, i, j, cfg)
     lo, hi = cfg.prediction_range
     if yhat < lo - CLAMP_SLACK or yhat > hi + CLAMP_SLACK:
@@ -191,8 +195,8 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     L = loss_matrix(g, i, j, cfg)
     session.max_eta_norm = max(session.max_eta_norm, cfg.eta * abs(g))
 
-    state = OloState(X=X, eta=cfg.eta, tau=cfg.tau, N=2 * cfg.p, round=session.round)
-    session.pending = exp_step(state, L)
+    log_X = session.log_pending - sum(a * c.A for a, c in zip(duals, cs.constraints) if a)
+    session.pending, session.log_pending = exp_step(log_X, L, cfg.eta)
     session.last_X = X
     session.last_event = LossEvent(t=session.round, i=i, j=j, yhat=yhat, g=g, loss=loss)
     session.round += 1

@@ -4,17 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpred.linalg import inner, matrix_exp, matrix_log, qre
-from matpred.mmw import (
-    ConstraintSet,
-    LinConstraint,
-    ProjectionError,
-    dual_gradient,
-    dual_objective,
-    exp_step,
-    init_state,
-    olo_round,
-    project_qre,
-)
+from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, exp_step, project_qre
 
 
 def trace_set(order, b, tau=None):
@@ -25,34 +15,21 @@ def trace_set(order, b, tau=None):
     )
 
 
-class TestInitState:
-    def test_initial_iterate(self):
-        s = init_state(tau=8.0, N=4, eta=0.1)
-        assert np.array_equal(s.X, 2.0 * np.eye(4))
-        assert s.round == 1
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            init_state(tau=0.0, N=2, eta=0.1)
-        with pytest.raises(ValueError):
-            init_state(tau=1.0, N=2, eta=-1.0)
-
-
 class TestExpStep:
     def test_identity_loss_rescales(self):
-        s = init_state(tau=2.0, N=2, eta=0.5)
-        Y = exp_step(s, np.eye(2))
+        Y, log_Y = exp_step(np.zeros((2, 2)), np.eye(2), 0.5)
         assert np.allclose(Y, np.exp(-0.5) * np.eye(2))
+        assert np.array_equal(log_Y, -0.5 * np.eye(2))
 
     def test_commuting_diagonal(self):
-        s = init_state(tau=2.0, N=2, eta=1.0)
-        Y = exp_step(s, np.diag([1.0, -1.0]))
-        assert np.allclose(Y, np.diag([np.exp(-1.0), np.e]))
+        log_X = np.log(2.0) * np.eye(2)
+        Y, log_Y = exp_step(log_X, np.diag([1.0, -1.0]), 1.0)
+        assert np.allclose(Y, np.diag([2.0 * np.exp(-1.0), 2.0 * np.e]))
+        assert np.allclose(matrix_log(Y), log_Y)
 
     def test_shape_mismatch(self):
-        s = init_state(tau=1.0, N=2, eta=0.1)
         with pytest.raises(ValueError):
-            exp_step(s, np.eye(3))
+            exp_step(np.zeros((2, 2)), np.eye(3), 0.1)
 
 
 class TestProjectTrace:
@@ -149,30 +126,6 @@ class TestProjectGeneral:
 
 
 class TestDual:
-    def test_objective_at_zero(self):
-        Y = np.diag([1.0, 2.0])
-        cs = trace_set(2, 1.0)
-        assert dual_objective(Y, cs, [0.0]) == pytest.approx(-3.0)
-
-    def test_gradient_matches_finite_difference(self):
-        rng = np.random.default_rng(7)
-        A0 = rng.standard_normal((3, 3))
-        Y = A0 @ A0.T + 0.2 * np.eye(3)
-        D = np.diag([1.0, 0.0, 0.0])
-        cs = ConstraintSet(
-            constraints=(LinConstraint(A=D, b=0.4), LinConstraint(A=np.eye(3), b=1.0)),
-            order=3,
-            tau=2.0,
-        )
-        alpha = np.array([0.3, 0.7])
-        g = dual_gradient(Y, cs, alpha)
-        h = 1e-6
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            fd = (dual_objective(Y, cs, alpha + e) - dual_objective(Y, cs, alpha - e)) / (2 * h)
-            assert g[j] == pytest.approx(fd, abs=1e-5)
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_optimal_duals_are_stationary(self, seed):
@@ -180,8 +133,9 @@ class TestDual:
         A0 = rng.standard_normal((3, 3))
         Y = A0 @ A0.T + 0.1 * np.eye(3)
         cs = trace_set(3, 0.8, tau=2.0)
-        _, alpha = project_qre(Y, cs)
-        g = dual_gradient(Y, cs, alpha)
+        X, alpha = project_qre(Y, cs)
+        # the dual gradient in alpha_j is A_j . X(alpha) - b_j
+        g = [inner(c.A, X) - c.b for c in cs.constraints]
         # active coordinate: gradient near zero; inactive: gradient <= 0
         for j in range(len(alpha)):
             if alpha[j] > 1e-9:
@@ -190,36 +144,33 @@ class TestDual:
                 assert g[j] <= 1e-6
 
 
-class TestOloRound:
-    def test_loss_accounting(self):
-        s = init_state(tau=1.0, N=2, eta=0.1)
-        loss, s2 = olo_round(s, np.diag([1.0, -1.0]), trace_set(2, 1.0))
-        assert loss == pytest.approx(0.0)
-        assert s2.round == 2
-        assert np.trace(s2.X) <= 1.0 + 1e-7
+def olo_play(L_seq, N, eta, cs):
+    """Density-matrix multiplicative weights from (tau / N) I: pay X . L,
+    step in log form and project. Returns the total loss and last iterate."""
+    X = (cs.tau / N) * np.eye(N)
+    log_X = np.log(cs.tau / N) * np.eye(N)
+    total = 0.0
+    for L in L_seq:
+        total += inner(X, L)
+        Y, log_Y = exp_step(log_X, L, eta)
+        X, alpha = project_qre(Y, cs)
+        log_X = log_Y - sum(a * c.A for a, c in zip(alpha, cs.constraints))
+    return total, X
 
+
+class TestOloRound:
     def test_regret_against_spectral_comparator(self):
         # density-matrix multiplicative weights on random sign losses:
         # regret against tau * min(0, lambda_min(sum L)) within 2 sqrt(T log N)
         rng = np.random.default_rng(13)
         T, N = 300, 4
-        s = init_state(tau=1.0, N=N, eta=np.sqrt(np.log(N) / T))
-        cs = trace_set(N, 1.0)
-        total = 0.0
-        cum = np.zeros((N, N))
-        for _ in range(T):
-            L = np.diag(rng.choice([-1.0, 1.0], N))
-            loss, s = olo_round(s, L, cs)
-            total += loss
-            cum += L
-        comparator = min(0.0, float(np.linalg.eigvalsh(cum).min()))
+        Ls = [np.diag(rng.choice([-1.0, 1.0], N)) for _ in range(T)]
+        total, _ = olo_play(Ls, N, np.sqrt(np.log(N) / T), trace_set(N, 1.0))
+        comparator = min(0.0, float(np.linalg.eigvalsh(sum(Ls)).min()))
         assert total - comparator <= 2.0 * np.sqrt(T * np.log(N))
 
     def test_iterates_track_smallest_cumulative_loss(self):
         # with a fixed diagonal loss, mass concentrates on the min-loss axis
-        s = init_state(tau=1.0, N=2, eta=0.3)
-        cs = trace_set(2, 1.0)
         L = np.diag([0.0, -1.0])  # rewards axis 2, so the trace cap binds
-        for _ in range(30):
-            _, s = olo_round(s, L, cs)
-        assert s.X[1, 1] > 0.99
+        _, X = olo_play([L] * 30, 2, 0.3, trace_set(2, 1.0))
+        assert X[1, 1] > 0.99
