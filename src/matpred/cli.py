@@ -77,9 +77,15 @@ def _config_argv(path: str, parser: argparse.ArgumentParser) -> list[str]:
         if line:
             key, _, val = line.partition("=")
             flag = "--" + key.strip().replace("_", "-")
-            if flag not in parser._option_string_actions:
+            action = parser._option_string_actions.get(flag)
+            if action is None:
                 parser.error(f"unknown config key {key.strip()!r}")
-            argv.append(f"{flag}={val.strip()}")
+            if action.nargs != 0:
+                argv.append(f"{flag}={val.strip()}")
+            elif val.strip() not in ("true", "false"):
+                parser.error(f"config key {key.strip()!r} takes true or false")
+            elif val.strip() == "true":
+                argv.append(flag)
     return argv
 
 
@@ -91,15 +97,28 @@ def _params(args) -> Params:
                   eta=getattr(args, "eta", None))
 
 
-def _make_sequence(args, p: Params, seed: int) -> Sequence:
+def _read(args, flag: str, reader, *extra):
+    """Read the file named by a flag; a missing flag or file is a usage error."""
+    path = getattr(args, flag)
+    if path is None:
+        args.parser.error(f"--{flag.replace('_', '-')} is required here")
+    try:
+        return reader(path, *extra)
+    except OSError as exc:
+        args.parser.error(f"cannot read {path}: {exc.strerror}")
+
+
+def _sequences(args, p: Params):
+    """The adversary's sequence as a function of the seed."""
     if args.adversary == "file":
-        return read_sequence(args.sequence_file, p.m, p.n)
+        seq = _read(args, "sequence_file", read_sequence, p.m, p.n)
+        return lambda seed: seq
     if args.adversary == "lowerbound":
         lb = PROBLEMS[args.problem].lower_bound
         if lb is None:
-            raise ValueError(f"no lower-bound adversary for {args.problem}")
-        return lb.adversary(p, seed)
-    return PROBLEMS[args.problem].adversary(p, seed)
+            args.parser.error(f"no lower-bound adversary for {args.problem}")
+        return partial(lb.adversary, p)
+    return partial(PROBLEMS[args.problem].adversary, p)
 
 
 def _play(cfg: OmpConfig, seq: Sequence, seed: int, comparator, trace_path=None) -> float | None:
@@ -122,13 +141,14 @@ def cmd_run(args) -> int:
     problem = PROBLEMS[args.problem]
     p = _params(args)
     cfg = problem.config(p)
-    comparator = None if args.comparator == "none" else partial(problem.comparator, p)
+    comparator = None if args.no_comparator else partial(problem.comparator, p)
+    sequence = _sequences(args, p)
     bound = cfg.regret_bound()
     print(f"problem          {args.problem}")
     print(f"rounds           {p.T}")
     print(f"eta              {cfg.eta:.6g}")
     print(f"theoretical bound {bound:.6f}")
-    regrets = [_play(cfg, _make_sequence(args, p, s), s, comparator, args.out)
+    regrets = [_play(cfg, sequence(s), s, comparator, args.out)
                for s in range(args.seed, args.seed + args.seeds)]
     if comparator is None:
         return 0
@@ -149,12 +169,14 @@ def cmd_decompose(args) -> int:
         d = decompose.decompose_triangular(args.k)
         W = decompose.triangular(2 ** args.k)
     elif args.klass == "permutation":
+        if args.perm is None:
+            args.parser.error("decompose permutation needs --perm")
         mapping = tuple(int(x) for x in args.perm.split(","))
         pi = decompose.Permutation(n=len(mapping), mapping=mapping)
         d = decompose.decompose_permutation(pi)
         W = decompose.perm_matrix(pi)
     else:  # tracenorm
-        W = read_matrix(args.file)
+        W = _read(args, "file", read_matrix)
         d = decompose.decompose_trace_norm(W)
     report = decompose.validate(d, W, tol=args.tol)
     print(f"beta             {d.beta:.6g}")
@@ -272,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random")
     run.add_argument("--sequence-file", default=None)
     run.add_argument("--out", default=None, help="CSV trace path (of the last seed)")
-    run.add_argument("--comparator", choices=["bruteforce", "subgradient", "none"],
-                     default="bruteforce")
+    run.add_argument("--no-comparator", action="store_true",
+                     help="skip the offline comparator and the regret report")
     run.add_argument("--config", default=None, help="key = value config file; flags win")
     run.set_defaults(func=cmd_run, parser=run)
 

@@ -78,6 +78,13 @@ class TestRunCommand:
         assert rc == 0
         assert "realized regret" in capsys.readouterr().out
 
+    def test_no_comparator(self, capsys):
+        rc = main(["run", "--problem", "cf", "--n", "4", "--T", "10", "--no-comparator"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "cumulative loss" in out
+        assert "comparator loss" not in out and "bound satisfied" not in out
+
     def test_config_file_fills_defaults(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("n = 4\nT = 40  # horizon\n")
@@ -104,7 +111,7 @@ class TestRunCommand:
         assert value(capsys.readouterr().out, "eta") == 0.1
 
     def test_config_file_tau0_and_m_are_read(self, tmp_path, capsys):
-        base = ["run", "--problem", "cf", "--n", "4", "--T", "10", "--comparator", "none"]
+        base = ["run", "--problem", "cf", "--n", "4", "--T", "10", "--no-comparator"]
         assert main(base) == 0
         default_bound = value(capsys.readouterr().out, "theoretical bound")
         cfgfile = tmp_path / "run.cfg"
@@ -114,6 +121,18 @@ class TestRunCommand:
         # 2 G sqrt(2 tau0 sqrt(m + n) log(2 (m + n)) T)
         assert bound == pytest.approx(2 * np.sqrt(4.0 * np.sqrt(7) * np.log(14) * 10), abs=1e-6)
         assert bound != pytest.approx(default_bound)
+
+    def test_config_file_switch(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("no_comparator = true\n")
+        assert main(["run", "--problem", "cf", "--n", "4", "--T", "10",
+                     "--config", str(cfgfile)]) == 0
+        assert "comparator loss" not in capsys.readouterr().out
+        cfgfile.write_text("no_comparator = yes\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "cf", "--config", str(cfgfile)])
+        assert exc.value.code == 2
+        assert "takes true or false" in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -304,6 +323,13 @@ class TestExitCodes:
         ("run", "--problem", "maxcut", "--seeds", "0"),
         ("run", "--problem", "maxcut", "--config", "missing.cfg"),
         ("lowerbound", "--problem", "gambling"),
+        ("run", "--problem", "gambling", "--adversary", "lowerbound"),
+        ("run", "--problem", "maxcut", "--adversary", "file"),
+        ("run", "--problem", "maxcut", "--adversary", "file", "--sequence-file", "missing.csv"),
+        ("run", "--problem", "maxcut", "--comparator", "none"),
+        ("decompose", "tracenorm"),
+        ("decompose", "tracenorm", "--file", "missing.txt"),
+        ("decompose", "permutation"),
     ])
     def test_usage_error(self, argv):
         res = matpred(*argv)

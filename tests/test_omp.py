@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpred.decompose import CutSet, cut_matrix, decompose_cut
-from matpred.linalg import inner
+from matpred.linalg import inner, matrix_log
 from matpred.mmw import project_qre
 from matpred.omp import (
     InvariantViolation,
@@ -190,6 +190,25 @@ class TestOmpRound:
             _, s = omp_round(s, int(i), int(j), LossFn("absolute_halved", y))
             assert float(np.trace(s.last_X)) <= cfg.tau + 1e-6
             assert np.min(np.linalg.eigvalsh(s.last_X)) >= -1e-9
+
+    def test_log_pending_is_log_of_pending(self):
+        # The session's log form must track the projected iterate through
+        # active and inactive projections alike: log_pending = log X - eta L.
+        cfg = cf_config(3, 3, 3.0, 1.0, T=40)
+        s = new_session(cfg)
+        assert np.array_equal(s.pending, 0.5 * np.eye(12))  # (tau / N) I
+        assert np.array_equal(s.log_pending, np.log(0.5) * np.eye(12))
+        rng = np.random.default_rng(8)
+        active = 0
+        for _ in range(40):
+            i, j = (int(v) for v in rng.integers(1, 4, size=2))
+            cs = constraints_Kt(i, j, cfg)
+            active += any(inner(c.A, s.pending) > c.b for c in cs.constraints)
+            _, s = omp_round(s, i, j, LossFn("linear", float(rng.choice([-1.0, 1.0]))))
+            L = loss_matrix(s.last_event.g, i, j, cfg)
+            assert np.max(np.abs(matrix_log(s.last_X) - cfg.eta * L - s.log_pending)) <= 1e-9
+            assert np.max(np.abs(matrix_log(s.pending) - s.log_pending)) <= 1e-9
+        assert active > 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(["maxcut", "cf"]),
