@@ -2,7 +2,7 @@
 
 Subcommands: run (learner vs adversary with CSV trace), decompose
 (construct + validate a decomposition), lowerbound (aggregate the
-stochastic adversaries over seeds), verify (desk-scale invariant suites).
+stochastic adversaries over seeds).
 Exit codes: 0 success, 1 invariant/validation failure, 2 usage error.
 """
 
@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 
-from . import decompose, problems
+from . import decompose
 from .adversaries import Sequence
 from .harness import PROBLEMS, Params, run_learner
-from .mmw import project_qre
 from .omp import OmpConfig
 from .problems import LossFn
 
@@ -97,6 +97,16 @@ def _params(args) -> Params:
                   eta=getattr(args, "eta", None))
 
 
+@contextmanager
+def _usage(args):
+    """Report a ValueError raised while turning flags into a config or a
+    class member as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _read(args, flag: str, reader, *extra):
     """Read the file named by a flag; a missing flag or file is a usage error."""
     path = getattr(args, flag)
@@ -140,7 +150,8 @@ def _play(cfg: OmpConfig, seq: Sequence, seed: int, comparator, trace_path=None)
 def cmd_run(args) -> int:
     problem = PROBLEMS[args.problem]
     p = _params(args)
-    cfg = problem.config(p)
+    with _usage(args):
+        cfg = problem.config(p)
     comparator = None if args.no_comparator else partial(problem.comparator, p)
     sequence = _sequences(args, p)
     bound = cfg.regret_bound()
@@ -160,24 +171,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.klass == "cut":
-        members = frozenset(int(x) for x in args.set.split(",")) if args.set else frozenset()
-        c = decompose.CutSet(n=args.n, members=members)
-        d = decompose.decompose_cut(c)
-        W = decompose.cut_matrix(c)
-    elif args.klass == "triangular":
-        d = decompose.decompose_triangular(args.k)
-        W = decompose.triangular(2 ** args.k)
-    elif args.klass == "permutation":
-        if args.perm is None:
-            args.parser.error("decompose permutation needs --perm")
-        mapping = tuple(int(x) for x in args.perm.split(","))
-        pi = decompose.Permutation(n=len(mapping), mapping=mapping)
-        d = decompose.decompose_permutation(pi)
-        W = decompose.perm_matrix(pi)
-    else:  # tracenorm
-        W = _read(args, "file", read_matrix)
-        d = decompose.decompose_trace_norm(W)
+    with _usage(args):
+        if args.klass == "cut":
+            members = frozenset(int(x) for x in args.set.split(",")) if args.set else frozenset()
+            c = decompose.CutSet(n=args.n, members=members)
+            d = decompose.decompose_cut(c)
+            W = decompose.cut_matrix(c)
+        elif args.klass == "triangular":
+            d = decompose.decompose_triangular(args.k)
+            W = decompose.triangular(2 ** args.k)
+        elif args.klass == "permutation":
+            if args.perm is None:
+                args.parser.error("decompose permutation needs --perm")
+            mapping = tuple(int(x) for x in args.perm.split(","))
+            pi = decompose.Permutation(n=len(mapping), mapping=mapping)
+            d = decompose.decompose_permutation(pi)
+            W = decompose.perm_matrix(pi)
+        else:  # tracenorm
+            W = _read(args, "file", read_matrix)
+            d = decompose.decompose_trace_norm(W)
     report = decompose.validate(d, W, tol=args.tol)
     print(f"beta             {d.beta:.6g}")
     print(f"tau (guaranteed) {d.tau:.6g}")
@@ -194,7 +206,8 @@ def cmd_decompose(args) -> int:
 def cmd_lowerbound(args) -> int:
     lb = PROBLEMS[args.problem].lower_bound
     p = _params(args)
-    cfg = PROBLEMS[args.problem].config(p)
+    with _usage(args):
+        cfg = PROBLEMS[args.problem].config(p)
     regrets = np.array([_play(cfg, lb.adversary(p, s), s, partial(lb.comparator, p))
                         for s in range(args.seed, args.seed + args.seeds)])
     print(f"seeds            {args.seeds}")
@@ -203,68 +216,6 @@ def cmd_lowerbound(args) -> int:
         print(f"stddev regret    {regrets.std(ddof=1):.4f}")
     print(f"theorem value    {lb.theorem(p):.4f}")
     return 0
-
-
-def _verify_decompositions(rng) -> list[str]:
-    failures = []
-    for n in (2, 4, 8, 16):
-        for _ in range(5):
-            members = frozenset(int(i) + 1 for i in np.flatnonzero(rng.integers(0, 2, n)))
-            c = decompose.CutSet(n=n, members=members)
-            if not decompose.validate(decompose.decompose_cut(c), decompose.cut_matrix(c)).passed:
-                failures.append(f"cut n={n} A={sorted(members)}")
-    for k in range(5):
-        d = decompose.decompose_triangular(k)
-        if not decompose.validate(d, decompose.triangular(2 ** k)).passed:
-            failures.append(f"triangular k={k}")
-    for n in (3, 5, 8):
-        mapping = tuple(int(v) for v in rng.permutation(n) + 1)
-        pi = decompose.Permutation(n=n, mapping=mapping)
-        if not decompose.validate(decompose.decompose_permutation(pi), decompose.perm_matrix(pi)).passed:
-            failures.append(f"permutation n={n}")
-    for shape in ((4, 6), (8, 8)):
-        W = rng.uniform(-1, 1, shape)
-        if not decompose.validate(decompose.decompose_trace_norm(W), W).passed:
-            failures.append(f"tracenorm {shape}")
-    return failures
-
-
-def _verify_projection(rng) -> tuple[list[str], float]:
-    from .omp import constraints_Kt
-    failures = []
-    worst = 0.0
-    for p in (2, 4, 8):
-        cfg = problems.cf_config(p // 2 or 1, p - (p // 2 or 1), 1.0, 1.0, 100)
-        N = 2 * cfg.p
-        for _ in range(10):
-            M = rng.standard_normal((N, N))
-            Y = 0.1 * (M @ M.T) / N + 0.05 * np.eye(N)
-            cs = constraints_Kt(1, 1, cfg)
-            X, duals = project_qre(Y, cs)
-            vals = [float(np.sum(c.A * X)) for c in cs.constraints]
-            primal = max(v - c.b for v, c in zip(vals, cs.constraints))
-            slack = max(a * (c.b - v) / (1 + abs(c.b))
-                        for a, v, c in zip(duals, vals, cs.constraints))
-            worst = max(worst, primal, slack)
-            if primal > 1e-6 or slack > 1e-5:
-                failures.append(f"projection p={p}: primal={primal:.2e} slack={slack:.2e}")
-    return failures, worst
-
-
-def cmd_verify(args) -> int:
-    rng = np.random.Generator(np.random.Philox(12345))
-    failures = []
-    if args.suite in ("decompositions", "all"):
-        fails = _verify_decompositions(rng)
-        failures += fails
-        print(f"decompositions   {'pass' if not fails else 'FAIL'}")
-    if args.suite in ("projection", "all"):
-        fails, worst = _verify_projection(rng)
-        failures += fails
-        print(f"projection       {'pass' if not fails else 'FAIL'} (max KKT residual {worst:.2e})")
-    for f in failures:
-        print(f"  failure: {f}")
-    return 0 if not failures else 1
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--seeds", type=_count, default=1, help="number of seeds")
     lb.set_defaults(func=cmd_lowerbound, parser=lb)
 
-    ver = sub.add_parser("verify", help="run invariant suites at desk scale")
-    ver.add_argument("suite", choices=["decompositions", "projection", "all"])
-    ver.set_defaults(func=cmd_verify, parser=ver)
     return parser
 
 

@@ -47,6 +47,8 @@ class CutSet:
     members: frozenset
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a cut needs n >= 1 nodes, got {self.n}")
         if not all(1 <= i <= self.n for i in self.members):
             raise ValueError("cut members must lie in 1..n")
 

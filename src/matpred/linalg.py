@@ -22,7 +22,7 @@ LOG_FLOOR_REL = 1e-12
 
 
 class DomainError(ValueError):
-    """Input outside an operation's domain (e.g. log of a singular matrix)."""
+    """Input outside an operation's domain (e.g. a non-finite entry)."""
 
 
 def sym_average(M: np.ndarray) -> np.ndarray:
@@ -68,20 +68,15 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     return sym_average((V * np.exp(lam)) @ V.T)
 
 
-def matrix_log(M: np.ndarray, *, flooring: bool = True) -> np.ndarray:
+def matrix_log(M: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a (nearly) positive definite symmetric matrix.
 
-    With flooring enabled, eigenvalues are raised to
-    LOG_FLOOR_REL * max(1, lam_max) before taking logs. With flooring
-    disabled, a non-positive eigenvalue raises DomainError.
+    Eigenvalues are raised to LOG_FLOOR_REL * max(1, lam_max) before
+    taking logs.
     """
     lam, V = eig_sym(M)
     eps = LOG_FLOOR_REL * max(1.0, float(lam[0]) if lam.size else 1.0)
-    if flooring:
-        lam = np.maximum(lam, eps)
-    elif lam.size and lam[-1] <= eps:
-        raise DomainError(f"matrix_log: eigenvalue {lam[-1]} at or below floor {eps}")
-    return sym_average((V * np.log(lam)) @ V.T)
+    return sym_average((V * np.log(np.maximum(lam, eps))) @ V.T)
 
 
 def trace_norm(W: np.ndarray) -> float:

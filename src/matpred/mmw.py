@@ -22,6 +22,10 @@ import numpy as np
 
 from .linalg import inner, matrix_exp, matrix_log, sym_average
 
+# The dual solver's relative KKT tolerance and sweep cap (see project_qre).
+PROJECTION_TOL = 1e-7
+MAX_SWEEPS = 200
+
 
 class ProjectionError(RuntimeError):
     """Dual solver failed to reach tolerance within the iteration cap."""
@@ -75,19 +79,19 @@ def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
     return 3.0 * tau + np.log(max(3.0 * tau * order, 2.0))
 
 
-def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
-                max_sweeps: int = 200) -> tuple[np.ndarray, np.ndarray]:
+def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
     """Quantum-relative-entropy projection of Y onto the polytope of cs.
 
     Y must be symmetric positive definite. Returns (X*, duals). When Y is
     already feasible it is returned as is with zero duals; otherwise
     X* = exp(log Y - sum alpha_j A_j) is positive definite, primal feasible
-    and complementary slack, both within tol * (1 + |b_j|) per constraint.
-    Only this second case takes log Y, with its eigenvalue floor.
+    and complementary slack, both within PROJECTION_TOL * (1 + |b_j|) per
+    constraint. Only this second case takes log Y, with its eigenvalue
+    floor. Raises ProjectionError after MAX_SWEEPS sweeps.
     """
     m = len(cs.constraints)
     alpha = np.zeros(m)
-    if all(inner(c.A, Y) <= c.b + tol * (1.0 + abs(c.b)) for c in cs.constraints):
+    if all(inner(c.A, Y) <= c.b + PROJECTION_TOL * (1.0 + abs(c.b)) for c in cs.constraints):
         return Y, alpha
 
     logY = matrix_log(Y)
@@ -96,7 +100,7 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
     boxes = [_dual_box(c, cs.tau, cs.order) for c in cs.constraints]
 
     weighted = np.zeros_like(logY)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for j, c in enumerate(cs.constraints):
             B = logY - (weighted - alpha[j] * c.A)
             if is_identity[j]:
@@ -105,7 +109,7 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
                 tr = float(np.trace(matrix_exp(B)))
                 new = 0.0 if tr <= c.b else min(float(np.log(tr / c.b)), boxes[j])
             else:
-                new = _bisect_coordinate(B, c, boxes[j], tol)
+                new = _bisect_coordinate(B, c, boxes[j])
             weighted = weighted + (new - alpha[j]) * c.A
             alpha[j] = new
         X = matrix_exp(logY - weighted)
@@ -120,7 +124,7 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
              for j in range(m)),
             default=0.0,
         )
-        if primal <= tol and slack <= tol:
+        if primal <= PROJECTION_TOL and slack <= PROJECTION_TOL:
             return sym_average(X), alpha
     raise ProjectionError(
         f"projection did not converge: primal violation {primal:.3e}, "
@@ -128,14 +132,14 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet, tol: float = 1e-7,
     )
 
 
-def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float, tol: float) -> float:
+def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float) -> float:
     """Solve A . exp(B - a A) = b for a in [0, hi]; the gradient is
     monotone decreasing in a, so plain bisection applies."""
 
     def g(a):
         return inner(c.A, matrix_exp(B - a * c.A)) - c.b
 
-    gtol = 0.1 * tol * max(1.0, abs(c.b))
+    gtol = 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
     if g(0.0) <= gtol:
         return 0.0
     if g(hi) > 0.0:

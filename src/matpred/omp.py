@@ -53,6 +53,10 @@ class OmpConfig:
     eta: float | None = None
 
     def __post_init__(self):
+        if min(self.m, self.n, self.T) < 1:
+            raise ValueError(f"m, n and T must be >= 1, got m={self.m}, n={self.n}, T={self.T}")
+        if not (self.G > 0 and self.tau > 0):
+            raise ValueError(f"G and tau must be > 0, got G={self.G}, tau={self.tau}")
         if self.beta < 1.0:
             raise ValueError("beta must be >= 1")
         if self.symmetric_class and self.m != self.n:
@@ -86,8 +90,6 @@ class OmpConfig:
 
 def eta_default(tau: float, p: int, beta: float, G: float, T: int) -> float:
     """Learning rate sqrt(tau log(N) / (beta gamma T)) with N = 2p, gamma = 4 G^2."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
     return math.sqrt(tau * math.log(2 * p) / (beta * 4.0 * G ** 2 * T))
 
 
@@ -110,7 +112,6 @@ class OmpSession:
     log_pending: np.ndarray  # its logarithm
     round: int = 1
     last_event: LossEvent | None = None
-    last_X: np.ndarray | None = None
     max_eta_norm: float = 0.0  # max eta * ||L_t|| observed
 
 
@@ -197,7 +198,6 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
 
     log_X = session.log_pending - sum(a * c.A for a, c in zip(duals, cs.constraints) if a)
     session.pending, session.log_pending = exp_step(log_X, L, cfg.eta)
-    session.last_X = X
     session.last_event = LossEvent(t=session.round, i=i, j=j, yhat=yhat, g=g, loss=loss)
     session.round += 1
     return yhat, session

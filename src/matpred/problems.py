@@ -4,8 +4,8 @@ Three comparison classes are wired to the prediction engine here: graph
 cuts, permutations (gambling), and bounded-trace-norm matrices
 (collaborative filtering). Each gets a config constructor and an offline
 comparator used for regret measurement: exact brute force for cuts and
-permutations, projected subgradient descent (an upper bound) for the
-trace-norm class.
+permutations, projected subgradient descent (an upper bound on the class
+optimum) for the trace-norm class.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import CutSet, Permutation, cut_matrix, perm_matrix, trace_norm
+from .decompose import CutSet, Permutation, cut_matrix, trace_norm
 from .omp import CLAMP_SLACK, OmpConfig
+
+CF_SUBGRADIENT_ITERS = 400
 
 
 @dataclass(frozen=True)
@@ -195,13 +197,14 @@ def _cap_trace_norm(W: np.ndarray, tau0: float) -> np.ndarray:
     return (U * s) @ Vt
 
 
-def best_cf_subgradient(records, m: int, n: int, tau0: float,
-                        iters: int = 400) -> tuple[np.ndarray, float]:
+def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarray, float]:
     """Projected subgradient descent over the trace-norm-bounded box class.
 
-    Alternates entry clipping with singular-value capping and returns the
-    best feasible visited point. The returned loss upper-bounds the
-    comparator optimum (and hence upper-bounds true regret).
+    Runs CF_SUBGRADIENT_ITERS steps, alternating entry clipping with
+    singular-value capping, and returns the best feasible visited point.
+    Since that point is feasible, its loss upper-bounds the comparator
+    optimum, so learner loss minus this loss is a lower bound on the true
+    regret.
     """
     by_entry = _pair_losses(records)
 
@@ -213,7 +216,7 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float,
 
     W = np.zeros((m, n))
     best_W, best = W.copy(), total_loss(W)
-    for it in range(1, iters + 1):
+    for it in range(1, CF_SUBGRADIENT_ITERS + 1):
         G = np.zeros((m, n))
         for (i, j), lfs in by_entry.items():
             G[i - 1, j - 1] += sum(lf.subgradient(W[i - 1, j - 1]) for lf in lfs)
@@ -235,16 +238,6 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float,
 def comparator_matrix_value(records, W: np.ndarray) -> float:
     """Cumulative loss of the fixed matrix W on a record sequence."""
     return sum(lf.value(W[i - 1, j - 1]) for (i, j), lf in records)
-
-
-def cut_comparator_loss(records, c: CutSet) -> float:
-    W = cut_matrix(c)
-    return comparator_matrix_value(records, W)
-
-
-def permutation_comparator_loss(records, pi: Permutation) -> float:
-    W = perm_matrix(pi)
-    return comparator_matrix_value(records, W)
 
 
 def evaluate_run(learner_loss: float, comparator_loss: float, bound: float) -> RegretReport:

@@ -151,10 +151,10 @@ class TestRunCommand:
         assert "error: entry (3, 3) is on the diagonal" in capsys.readouterr().err
 
     def test_bad_eta_is_usage_error(self, capsys):
-        rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "10",
-                   "--eta", "-1.0"])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "maxcut", "--n", "4", "--T", "10", "--eta", "-1.0"])
+        assert exc.value.code == 2
+        assert "error: eta must be > 0" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:
@@ -190,9 +190,10 @@ class TestDecomposeCommand:
         assert "valid            True" in capsys.readouterr().out
 
     def test_invalid_permutation_is_error(self, capsys):
-        rc = main(["decompose", "permutation", "--perm", "1,1,2"])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "permutation", "--perm", "1,1,2"])
+        assert exc.value.code == 2
+        assert "error: mapping is not a bijection" in capsys.readouterr().err
 
 
 class TestLowerboundCommand:
@@ -214,18 +215,6 @@ class TestLowerboundCommand:
                    "--tau0", "4.0", "--T", "32", "--seeds", "1"])
         assert rc == 0
         assert "theorem value" in capsys.readouterr().out
-
-
-class TestVerifyCommand:
-    def test_decompositions_suite(self, capsys):
-        rc = main(["verify", "decompositions"])
-        assert rc == 0
-        assert "decompositions   pass" in capsys.readouterr().out
-
-    def test_projection_suite(self, capsys):
-        rc = main(["verify", "projection"])
-        assert rc == 0
-        assert "projection       pass" in capsys.readouterr().out
 
 
 class TestRunLearner:
@@ -330,6 +319,17 @@ class TestExitCodes:
         ("decompose", "tracenorm"),
         ("decompose", "tracenorm", "--file", "missing.txt"),
         ("decompose", "permutation"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "0"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "-1"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "0"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "100"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--m", "0"),
+        ("run", "--problem", "maxcut", "--n", "1", "--T", "5"),
+        ("lowerbound", "--problem", "cf", "--T", "10", "--G", "0"),
+        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "0", "--T", "16"),
+        ("decompose", "cut", "--n", "0"),
+        ("decompose", "permutation", "--perm", "1,1"),
+        ("verify", "all"),
     ])
     def test_usage_error(self, argv):
         res = matpred(*argv)

@@ -107,10 +107,6 @@ class TestMatrixFn:
             E = matrix_exp(np.diag(vals))
             assert abs(np.linalg.det(E) - 1.0) <= 1e-8
 
-    def test_log_without_flooring_rejects_singular(self):
-        with pytest.raises(DomainError):
-            matrix_log(np.diag([1.0, 0.0]), flooring=False)
-
 
 class TestTraceNorm:
     def test_identity(self):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from matpred.linalg import inner, matrix_exp, matrix_log, qre
 from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, exp_step, project_qre
+from matpred.omp import constraints_Kt
+from matpred.problems import cf_config
 
 
 def trace_set(order, b, tau=None):
@@ -75,6 +77,7 @@ class TestProjectGeneral:
 
     def test_kkt_certificate_random(self):
         rng = np.random.default_rng(3)
+        cases = []
         for _ in range(25):
             d = int(rng.integers(2, 6))
             A0 = rng.standard_normal((d, d))
@@ -89,6 +92,20 @@ class TestProjectGeneral:
                 order=d,
                 tau=4.0,
             )
+            cases.append((Y, cs))
+        # K_t of a non-symmetric class at p = 2, 4, 8, where the queried
+        # entry (1, 1 + q) lies off the diagonal. A random weight on that
+        # entry makes the range constraint active in about half the cases.
+        for m in (1, 2, 4):
+            cfg = cf_config(m, m, float(m), 1.0, 100)
+            N = 2 * cfg.p
+            w = np.zeros(N)
+            w[[0, m]] = 1.0
+            for _ in range(10):
+                M = rng.standard_normal((N, N))
+                Y = 0.1 * (M @ M.T) / N + 0.05 * np.eye(N) + rng.uniform(0, 3) * np.outer(w, w)
+                cases.append((Y, constraints_Kt(1, 1, cfg)))
+        for Y, cs in cases:
             X, alpha = project_qre(Y, cs)
             # stationarity holds by construction; check it numerically anyway
             B = matrix_log(Y) - sum(a * c.A for a, c in zip(alpha, cs.constraints))
@@ -122,7 +139,7 @@ class TestProjectGeneral:
             tau=1.0,
         )
         with pytest.raises(ProjectionError):
-            project_qre(np.eye(2), cs, max_sweeps=10)
+            project_qre(np.eye(2), cs)
 
 
 class TestDual:

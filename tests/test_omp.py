@@ -55,6 +55,12 @@ class TestOmpConfig:
             small_cfg(tau=100.0)  # exceeds 2 p beta
         with pytest.raises(ValueError):
             small_cfg(eta=0.0)
+        nonsym = dict(m=2, n=3, symmetric_class=False, beta=2.0, tau=4.0, G=1.0, T=10)
+        for bad in (dict(G=0.0), dict(G=-1.0), dict(tau=0.0), dict(tau=-1.0),
+                    dict(m=0), dict(n=0), dict(T=0),
+                    dict(G=0.0, eta=0.1), dict(tau=0.0, eta=0.1), dict(T=0, eta=0.1)):
+            with pytest.raises(ValueError):
+                OmpConfig(**{**nonsym, **bad})
 
 
 class TestLossMatrix:
@@ -187,9 +193,10 @@ class TestOmpRound:
         for _ in range(30):
             i, j = sorted(rng.choice(3, size=2, replace=False) + 1)
             y = float(rng.choice([-1.0, 1.0]))
+            X, _ = project_qre(s.pending, constraints_Kt(int(i), int(j), cfg))
+            assert float(np.trace(X)) <= cfg.tau + 1e-6
+            assert np.min(np.linalg.eigvalsh(X)) >= -1e-9
             _, s = omp_round(s, int(i), int(j), LossFn("absolute_halved", y))
-            assert float(np.trace(s.last_X)) <= cfg.tau + 1e-6
-            assert np.min(np.linalg.eigvalsh(s.last_X)) >= -1e-9
 
     def test_log_pending_is_log_of_pending(self):
         # The session's log form must track the projected iterate through
@@ -204,9 +211,10 @@ class TestOmpRound:
             i, j = (int(v) for v in rng.integers(1, 4, size=2))
             cs = constraints_Kt(i, j, cfg)
             active += any(inner(c.A, s.pending) > c.b for c in cs.constraints)
+            X, _ = project_qre(s.pending, cs)
             _, s = omp_round(s, i, j, LossFn("linear", float(rng.choice([-1.0, 1.0]))))
             L = loss_matrix(s.last_event.g, i, j, cfg)
-            assert np.max(np.abs(matrix_log(s.last_X) - cfg.eta * L - s.log_pending)) <= 1e-9
+            assert np.max(np.abs(matrix_log(X) - cfg.eta * L - s.log_pending)) <= 1e-9
             assert np.max(np.abs(matrix_log(s.pending) - s.log_pending)) <= 1e-9
         assert active > 0
 

@@ -15,14 +15,12 @@ from matpred.problems import (
     best_permutation_bruteforce,
     cf_config,
     comparator_matrix_value,
-    cut_comparator_loss,
     cut_weight,
     evaluate_run,
     gambling_config,
     gambling_padded_size,
     maxcut_config,
     maxcut_weights,
-    permutation_comparator_loss,
 )
 
 
@@ -119,11 +117,11 @@ class TestBestCut:
             i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
             records.append(((int(i), int(j)), LossFn("absolute_halved", float(rng.choice([-1, 1])))))
         c, loss = best_cut_bruteforce(records, n)
-        assert cut_comparator_loss(records, c) == pytest.approx(loss)
+        assert comparator_matrix_value(records, cut_matrix(c)) == pytest.approx(loss)
         # no cut does better (independent recount through the matrix route)
         for mask in range(2 ** n):
             other = CutSet(n, frozenset(i + 1 for i in range(n) if (mask >> i) & 1))
-            assert cut_comparator_loss(records, other) >= loss - 1e-12
+            assert comparator_matrix_value(records, cut_matrix(other)) >= loss - 1e-12
 
     def test_loss_minimizer_is_max_weight_cut(self):
         # the aggregated-weights graph: minimizing cumulative loss is the
@@ -165,10 +163,10 @@ class TestBestPermutation:
             i, j = rng.choice(n, size=2, replace=False) + 1
             records.append(((int(i), int(j)), LossFn("absolute", float(rng.integers(0, 2)))))
         pi, loss = best_permutation_bruteforce(records, n)
-        assert permutation_comparator_loss(records, pi) == pytest.approx(loss)
+        assert comparator_matrix_value(records, perm_matrix(pi)) == pytest.approx(loss)
         for mapping in itertools.permutations(range(1, n + 1)):
             other = Permutation(n, mapping)
-            assert permutation_comparator_loss(records, other) >= loss - 1e-12
+            assert comparator_matrix_value(records, perm_matrix(other)) >= loss - 1e-12
 
 
 class TestBestCf:
