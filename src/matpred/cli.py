@@ -131,15 +131,19 @@ def _sequences(args, p: Params):
     return partial(PROBLEMS[args.problem].adversary, p)
 
 
-def _play(cfg: OmpConfig, seq: Sequence, seed: int, comparator, trace_path=None) -> float | None:
+def _play(args, cfg: OmpConfig, sequence, comparator, seed: int, trace_path=None) -> float | None:
     """Run the learner on one seed's sequence and print its line; returns
-    the realized regret, or None without a comparator."""
+    the realized regret, or None without a comparator. The sequence and
+    its comparator loss come first, so a ValueError from either is a usage
+    error raised before any round is played."""
     start = time.perf_counter()
+    with _usage(args):
+        seq = sequence(seed)
+        comp = None if comparator is None else comparator(seq)
     session, total = run_learner(cfg, seq, trace_path=trace_path)
     line = f"seed {seed:<4d} cumulative loss {total:.6f}"
     regret = None
-    if comparator is not None:
-        comp = comparator(seq)
+    if comp is not None:
         regret = total - comp
         line += f"  comparator loss {comp:.6f}  realized regret {regret:.6f}"
     print(f"{line}  max eta*||L|| {session.max_eta_norm:.6g}  "
@@ -159,7 +163,7 @@ def cmd_run(args) -> int:
     print(f"rounds           {p.T}")
     print(f"eta              {cfg.eta:.6g}")
     print(f"theoretical bound {bound:.6f}")
-    regrets = [_play(cfg, sequence(s), s, comparator, args.out)
+    regrets = [_play(args, cfg, sequence, comparator, s, args.out)
                for s in range(args.seed, args.seed + args.seeds)]
     if comparator is None:
         return 0
@@ -190,7 +194,7 @@ def cmd_decompose(args) -> int:
         else:  # tracenorm
             W = _read(args, "file", read_matrix)
             d = decompose.decompose_trace_norm(W)
-    report = decompose.validate(d, W, tol=args.tol)
+    report = decompose.validate(d, W)
     print(f"beta             {d.beta:.6g}")
     print(f"tau (guaranteed) {d.tau:.6g}")
     print(f"tau (realized)   {report.realized_trace:.6g}")
@@ -208,7 +212,7 @@ def cmd_lowerbound(args) -> int:
     p = _params(args)
     with _usage(args):
         cfg = PROBLEMS[args.problem].config(p)
-    regrets = np.array([_play(cfg, lb.adversary(p, s), s, partial(lb.comparator, p))
+    regrets = np.array([_play(args, cfg, partial(lb.adversary, p), partial(lb.comparator, p), s)
                         for s in range(args.seed, args.seed + args.seeds)])
     print(f"seeds            {args.seeds}")
     print(f"mean regret      {regrets.mean():.4f}")
@@ -257,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--k", type=int, default=3)
     dec.add_argument("--perm", default=None, help="permutation values, comma separated")
     dec.add_argument("--file", default=None, help="matrix file (tracenorm)")
-    dec.add_argument("--tol", type=float, default=1e-8)
     dec.add_argument("--dump", default=None, help="dump P/N matrices to this prefix")
     dec.set_defaults(func=cmd_decompose, parser=dec)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym, sym_average, sym_block, symmetrize, trace_norm
+from .linalg import eig_sym, sym_average, sym_block, symmetrize
 
 
 @dataclass(frozen=True)

@@ -80,18 +80,8 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(W: np.ndarray) -> float:
-    """Sum of singular values, computed through the spectrum of sym(W).
-
-    For a symmetric matrix this is the sum of absolute eigenvalues; for the
-    block embedding the spectrum is {+/- sigma_k} union {0}, so the trace
-    norm of W is half the absolute eigenvalue sum of sym(W).
-    """
-    W = np.asarray(W, dtype=float)
-    S = symmetrize(W)
-    total = float(np.sum(np.abs(np.linalg.eigvalsh(S))))
-    if S.shape == W.shape and np.array_equal(S, W):
-        return total
-    return 0.5 * total
+    """Sum of singular values."""
+    return float(np.linalg.svd(np.asarray(W, dtype=float), compute_uv=False).sum())
 
 
 def inner(A: np.ndarray, B: np.ndarray) -> float:

@@ -232,7 +232,8 @@ class TestRunLearner:
 # run_regret.py --n 4 --T 40 --seeds 3 (plus --m 4 --tau0 4 for cf) and
 # run_lowerbounds.py --n 4 --T 64 --cf-m 4 --cf-n 4 --tau0 4 --seeds 2.
 # The gambling rows are re-pinned since the absolute losses' subgradient
-# is 0 within CLAMP_SLACK of the kink.
+# is 0 within CLAMP_SLACK of the kink, and the cf row since its comparator
+# is solved to a certified duality gap.
 # Each row is (seed, learner loss, comparator loss, regret).
 SWEEP_RUNS = {
     "maxcut": (18.24035763544053, [(1, 19.41843287656934, 14.0, 5.418432876569341),
@@ -241,9 +242,9 @@ SWEEP_RUNS = {
     "gambling": (252.74580938247928, [(1, 19.118054143265894, 13.0, 6.118054143265894),
                                       (2, 22.88674265047382, 13.0, 9.88674265047382),
                                       (3, 15.954626219369981, 9.0, 6.954626219369981)]),
-    "cf": (100.18903826825529, [(1, 0.23382954395215796, -8.362019032052947, 8.595848576005105),
-                                (2, -0.08010643062316178, -9.543544590313683, 9.463438159690522),
-                                (3, 0.1340486941996419, -7.541825543286134, 7.675874237485775)]),
+    "cf": (100.18903826825529, [(1, 0.23382954395215647, -8.400123453469572, 8.633952997421728),
+                                (2, -0.0801064306231696, -9.655610230066817, 9.575503799443647),
+                                (3, 0.134048694199645, -7.654705278419566, 7.788753972619212)]),
 }
 SWEEP_LOWERBOUNDS = {
     "maxcut": (4.0, [(1, 28.229775582472595, 23.0, 5.229775582472595),
@@ -330,8 +331,23 @@ class TestExitCodes:
         ("decompose", "cut", "--n", "0"),
         ("decompose", "permutation", "--perm", "1,1"),
         ("verify", "all"),
+        ("decompose", "cut", "--tol", "1e-8"),
+        ("run", "--problem", "gambling", "--n", "9", "--T", "200"),
+        ("lowerbound", "--problem", "maxcut", "--n", "5", "--T", "10"),
+        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "3", "--T", "16"),
     ])
     def test_usage_error(self, argv):
         res = matpred(*argv)
         assert res.returncode == 2
         assert "error:" in res.stderr and "Traceback" not in res.stderr
+        assert "cumulative loss" not in res.stdout   # no round was played
+
+    def test_cf_comparator_needs_linear_losses(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        write_sequence(str(path), Sequence(4, 4, 0, (((1, 2), LossFn("absolute", 0.5)),) * 10))
+        argv = ("run", "--problem", "cf", "--n", "4", "--T", "10",
+                "--adversary", "file", "--sequence-file", str(path))
+        res = matpred(*argv)
+        assert res.returncode == 2
+        assert "linear losses only" in res.stderr and "Traceback" not in res.stderr
+        assert matpred(*argv, "--no-comparator").returncode == 0

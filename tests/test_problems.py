@@ -9,6 +9,7 @@ from matpred.decompose import CutSet, Permutation, cut_matrix, perm_matrix
 from matpred.linalg import trace_norm
 from matpred.omp import CLAMP_SLACK
 from matpred.problems import (
+    CF_GAP_TOL,
     LossFn,
     best_cf_subgradient,
     best_cut_bruteforce,
@@ -205,6 +206,43 @@ class TestBestCf:
         S *= min(1.0, tau0 / max(trace_norm(S), 1e-12))
         _, loss = best_cf_subgradient(records, m, n, tau0)
         assert loss <= comparator_matrix_value(records, S) + 1e-9
+
+    @staticmethod
+    def _random_linear(m, n, seed):
+        rng = np.random.default_rng(seed)
+        records = [((int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1))),
+                    LossFn("linear", float(rng.uniform(-1, 1)))) for _ in range(300)]
+        C = np.zeros((m, n))
+        for (i, j), lf in records:
+            C[i - 1, j - 1] += lf.param
+        return records, C
+
+    @staticmethod
+    def _assert_optimal(records, m, n, tau0, optimum):
+        W, loss = best_cf_subgradient(records, m, n, tau0)
+        assert np.max(np.abs(W)) <= 1.0
+        assert trace_norm(W) <= tau0 + 1e-9
+        assert loss >= optimum - 1e-9 * (1.0 + abs(optimum))   # W is a member of the class
+        assert loss <= optimum + CF_GAP_TOL * (1.0 + abs(optimum))
+
+    @pytest.mark.parametrize("m, n, tau0, seed", [(4, 4, 1.0, 5), (5, 3, 0.5, 6), (8, 8, 0.2, 7)])
+    def test_small_ball_optimum_is_top_singular_value(self, m, n, tau0, seed):
+        # For tau0 <= 1 the rank-one minimizer -tau0 u v^T has entries of at
+        # most tau0, so the box is inactive: the optimum is -tau0 sigma_max(C).
+        records, C = self._random_linear(m, n, seed)
+        self._assert_optimal(records, m, n, tau0, -tau0 * np.linalg.norm(C, 2))
+
+    @pytest.mark.parametrize("m, n, seed", [(4, 4, 8), (3, 7, 9), (6, 6, 10)])
+    def test_large_ball_optimum_is_box_optimum(self, m, n, seed):
+        # For tau0 >= ||sign(C)||_* the box optimum -sign(C) is a member,
+        # so the optimum is -||C||_1.
+        records, C = self._random_linear(m, n, seed)
+        self._assert_optimal(records, m, n, trace_norm(np.sign(C)), -np.abs(C).sum())
+
+    def test_rejects_nonlinear_losses(self):
+        records = [((1, 1), LossFn("linear", -1.0)), ((1, 2), LossFn("absolute", 0.5))]
+        with pytest.raises(ValueError, match="linear losses only"):
+            best_cf_subgradient(records, 2, 2, tau0=1.0)
 
 
 class TestEvaluateRun:
