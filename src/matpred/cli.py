@@ -44,16 +44,31 @@ def write_matrix(path: str, W: np.ndarray):
             f.write(" ".join(f"{v:.12g}" for v in row) + "\n")
 
 
-def read_sequence(path: str, m: int, n: int) -> Sequence:
-    """Sequence CSV: t,i,j,kind,param."""
+def read_sequence(path: str, m: int, n: int, T: int) -> Sequence:
+    """Sequence CSV: t,i,j,kind,param, one round a row, for an m x n class.
+
+    A malformed row, an entry outside [1..m] x [1..n], a loss LossFn
+    rejects, or more than T rounds raises ValueError naming the line.
+    """
     rounds = []
     with open(path) as f:
         header = f.readline()
         if not header.startswith("t,"):
             raise ValueError(f"{path}: missing sequence header")
-        for line in f:
-            t, i, j, kind, param = line.strip().split(",")
-            rounds.append(((int(i), int(j)), LossFn(kind, float(param))))
+        for lineno, line in enumerate(f, start=2):
+            if not line.strip():
+                continue
+            try:
+                t, i, j, kind, param = line.strip().split(",")
+                _, i, j = map(int, (t, i, j))
+                lf = LossFn(kind, float(param))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad row {line.strip()!r}: {exc}") from None
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError(f"{path}:{lineno}: entry ({i}, {j}) outside [1..{m}] x [1..{n}]")
+            if len(rounds) == T:
+                raise ValueError(f"{path}:{lineno}: more than T={T} rounds")
+            rounds.append(((i, j), lf))
     return Sequence(m=m, n=n, seed=0, rounds=tuple(rounds))
 
 
@@ -108,7 +123,8 @@ def _usage(args):
 
 
 def _read(args, flag: str, reader, *extra):
-    """Read the file named by a flag; a missing flag or file is a usage error."""
+    """Read the file named by a flag; a missing flag, a missing file or a
+    malformed one is a usage error."""
     path = getattr(args, flag)
     if path is None:
         args.parser.error(f"--{flag.replace('_', '-')} is required here")
@@ -116,12 +132,14 @@ def _read(args, flag: str, reader, *extra):
         return reader(path, *extra)
     except OSError as exc:
         args.parser.error(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _sequences(args, p: Params):
     """The adversary's sequence as a function of the seed."""
     if args.adversary == "file":
-        seq = _read(args, "sequence_file", read_sequence, p.m, p.n)
+        seq = _read(args, "sequence_file", read_sequence, p.m, p.n, p.T)
         return lambda seed: seq
     if args.adversary == "lowerbound":
         lb = PROBLEMS[args.problem].lower_bound

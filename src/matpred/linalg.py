@@ -90,7 +90,7 @@ def inner(A: np.ndarray, B: np.ndarray) -> float:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"inner: order mismatch {A.shape} vs {B.shape}")
-    return float(np.sum(A * B))
+    return float(np.vdot(A, B))
 
 
 def qre(X: np.ndarray, A: np.ndarray) -> float:

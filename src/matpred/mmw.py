@@ -1,12 +1,14 @@
-"""Online linear optimization over PSD matrices.
+"""Bregman projection for online linear optimization over PSD matrices.
 
-The engine takes exponentiated-gradient steps Y = exp(log X - eta L) and
-then Bregman-projects back onto a small linear-constraint polytope, using
-the dual form of the quantum-relative-entropy projection: the projected
-point is X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha
-maximizing -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j. Both steps
-have a closed-form logarithm, so a caller that keeps log X never needs a
-matrix logarithm to take the next step.
+After an exponentiated-gradient step Y = exp(log X - eta L) (taken by
+`omp.exp_step`, which uses the reduction's block structure), the iterate
+is projected back onto a small linear-constraint polytope, using the dual
+form of the quantum-relative-entropy projection: the projected point is
+X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha
+maximizing -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j. Its
+logarithm is known in closed form, so a caller that keeps log Y never
+needs a matrix logarithm to take the next step. The projection works on
+the full matrix and assumes no block structure.
 
 The dual has at most a handful of variables, so it is solved by cyclic
 coordinate ascent with scalar bisection; the trace constraint (A = I) has a
@@ -59,15 +61,6 @@ class ConstraintSet:
         for c in self.constraints:
             if c.A.shape != (self.order, self.order):
                 raise ValueError("constraint matrix order mismatch")
-
-
-def exp_step(log_X: np.ndarray, L: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The unprojected update Y = exp(log X - eta L), returned with log Y."""
-    L = np.asarray(L, dtype=float)
-    if L.shape != log_X.shape:
-        raise ValueError("exp_step: loss matrix order mismatch")
-    log_Y = log_X - eta * L
-    return matrix_exp(log_Y), log_Y
 
 
 def _dual_box(c: LinConstraint, tau: float, order: int) -> float:

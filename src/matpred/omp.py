@@ -9,6 +9,12 @@ step. The session also carries the pending step's logarithm: the
 projection subtracts sum_j alpha_j A_j from it and the step subtracts
 eta L, so the step takes no matrix logarithm.
 
+Every loss matrix and every constraint acts on the two p x p diagonal
+blocks alike, so the log iterate stays diag(A, B); on a non-symmetric
+class B = S A S with S = diag(1_m, -1_n). The step (`exp_step`)
+exponentiates the p x p blocks alone: one of them on a non-symmetric
+class, both on a symmetric one. The projection works at order 2p.
+
 Entry indices on the API surface are 1-based, matching the row/column
 numbering of the predicted matrix.
 """
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import inner
-from .mmw import ConstraintSet, LinConstraint, exp_step, project_qre
+from .linalg import matrix_exp
+from .mmw import ConstraintSet, LinConstraint, project_qre
 
 # Predictions within this distance outside the range are clamped and
 # recorded; anything farther is an invariant violation.
@@ -197,10 +203,34 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     session.max_eta_norm = max(session.max_eta_norm, cfg.eta * abs(g))
 
     log_X = session.log_pending - sum(a * c.A for a, c in zip(duals, cs.constraints) if a)
-    session.pending, session.log_pending = exp_step(log_X, L, cfg.eta)
+    session.pending, session.log_pending = exp_step(log_X, L, cfg)
     session.last_event = LossEvent(t=session.round, i=i, j=j, yhat=yhat, g=g, loss=loss)
     session.round += 1
     return yhat, session
+
+
+def exp_step(log_X: np.ndarray, L: np.ndarray, cfg: OmpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The unprojected update Y = exp(log X - eta L), returned with log Y.
+
+    log X must have the reduction's block form diag(A, B), with, on a
+    non-symmetric class, B = S A S for S = diag(1_m, -1_n); every loss
+    matrix and every constraint of K_t keeps that form. So Y is
+    diag(exp A', exp B') for the blocks A', B' of log Y, and on a
+    non-symmetric class exp B' = S exp(A') S: the step exponentiates one
+    p x p block, or both on a symmetric class.
+    """
+    p = cfg.p
+    log_Y = log_X - cfg.eta * L
+    if log_Y.shape != (2 * p, 2 * p):
+        raise ValueError(f"exp_step: expected order {2 * p}, got {log_Y.shape}")
+    Y = np.zeros_like(log_Y)
+    Y[:p, :p] = upper = matrix_exp(log_Y[:p, :p])
+    if cfg.symmetric_class:
+        Y[p:, p:] = matrix_exp(log_Y[p:, p:])
+    else:
+        s = np.concatenate((np.ones(cfg.m), -np.ones(cfg.n)))
+        Y[p:, p:] = s[:, None] * upper * s
+    return Y, log_Y
 
 
 def embed_phi(d: Decomposition) -> np.ndarray:

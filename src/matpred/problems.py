@@ -35,29 +35,32 @@ class LossFn:
     Lipschitz |param|). The subgradient of the absolute losses is 0
     within CLAMP_SLACK of the kink, so round-off in a prediction clamped
     onto its label cannot pick a branch; this costs at most
-    G * CLAMP_SLACK of regret per round.
+    G * CLAMP_SLACK of regret per round. Any other kind, and a param that
+    is not finite, is rejected on construction.
     """
 
     kind: str
     param: float
+
+    def __post_init__(self):
+        if self.kind not in ("absolute_halved", "absolute", "linear"):
+            raise ValueError(f"unknown loss kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ValueError(f"loss param must be finite, got {self.param}")
 
     def value(self, yhat: float) -> float:
         if self.kind == "absolute_halved":
             return 0.5 * abs(yhat - self.param)
         if self.kind == "absolute":
             return abs(yhat - self.param)
-        if self.kind == "linear":
-            return self.param * yhat
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+        return self.param * yhat
 
     def subgradient(self, yhat: float) -> float:
         if self.kind in ("absolute_halved", "absolute"):
             d = yhat - self.param
             sign = 0.0 if abs(d) <= CLAMP_SLACK else float(np.sign(d))
             return 0.5 * sign if self.kind == "absolute_halved" else sign
-        if self.kind == "linear":
-            return self.param
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+        return self.param
 
     @property
     def lipschitz(self) -> float:

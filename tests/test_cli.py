@@ -43,14 +43,28 @@ class TestSequenceIo:
         seq = random_adversary("maxcut", 4, 4, T=20, seed=3)
         path = tmp_path / "seq.csv"
         write_sequence(str(path), seq)
-        back = read_sequence(str(path), 4, 4)
+        back = read_sequence(str(path), 4, 4, 20)
         assert back.rounds == seq.rounds
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,1,2,linear,0.5\n")
         with pytest.raises(ValueError):
-            read_sequence(str(path), 2, 2)
+            read_sequence(str(path), 2, 2, 1)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,1,3,linear,0.5", r"entry \(1, 3\) outside"),
+        ("1,1,2,linear", "bad row"),
+        ("1,1,x,linear,0.5", "bad row"),
+        ("1,1,2,linear,inf", "must be finite"),
+        ("1,1,2,huber,0.5", "unknown loss kind"),
+        ("1,2,1,linear,0.5", "more than T=2 rounds"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,i,j,kind,param\n1,1,2,linear,0.5\n\n2,2,1,linear,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=rf"bad.csv:5: .*{message}"):
+            read_sequence(str(path), 2, 2, 2)
 
 
 class TestRunCommand:
@@ -285,6 +299,16 @@ def matpred(*argv) -> subprocess.CompletedProcess:
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
 
 
+class Rows(tuple):
+    """Rows of a sequence file; test_usage_error writes them, under the
+    header, to a file and passes its path."""
+
+
+def file_run(*rows, extra=()):
+    return ("run", "--problem", "gambling", "--n", "4", "--T", "2", *extra,
+            "--adversary", "file", "--sequence-file", Rows(rows))
+
+
 class TestExitCodes:
     def test_success(self):
         res = matpred("run", "--problem", "maxcut", "--n", "4", "--T", "20")
@@ -335,8 +359,18 @@ class TestExitCodes:
         ("run", "--problem", "gambling", "--n", "9", "--T", "200"),
         ("lowerbound", "--problem", "maxcut", "--n", "5", "--T", "10"),
         ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "3", "--T", "16"),
+        file_run("1,1,9,absolute,1"),
+        file_run("1,1,2,absolute"),
+        file_run("1,1,2,absolute,1", "2,2,1,absolute,1", "3,1,3,absolute,1"),
+        file_run("1,1,2,absolute,nan"),
+        file_run("1,1,2,huber,1", extra=("--no-comparator",)),
     ])
-    def test_usage_error(self, argv):
+    def test_usage_error(self, argv, tmp_path):
+        for k, arg in enumerate(argv):
+            if isinstance(arg, Rows):
+                path = tmp_path / "seq.csv"
+                path.write_text("t,i,j,kind,param\n" + "".join(f"{row}\n" for row in arg))
+                argv = (*argv[:k], str(path), *argv[k + 1:])
         res = matpred(*argv)
         assert res.returncode == 2
         assert "error:" in res.stderr and "Traceback" not in res.stderr

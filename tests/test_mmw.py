@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpred.linalg import inner, matrix_exp, matrix_log, qre
-from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, exp_step, project_qre
+from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, project_qre
 from matpred.omp import constraints_Kt
 from matpred.problems import cf_config
 
@@ -15,23 +15,6 @@ def trace_set(order, b, tau=None):
         order=order,
         tau=float(tau if tau is not None else b),
     )
-
-
-class TestExpStep:
-    def test_identity_loss_rescales(self):
-        Y, log_Y = exp_step(np.zeros((2, 2)), np.eye(2), 0.5)
-        assert np.allclose(Y, np.exp(-0.5) * np.eye(2))
-        assert np.array_equal(log_Y, -0.5 * np.eye(2))
-
-    def test_commuting_diagonal(self):
-        log_X = np.log(2.0) * np.eye(2)
-        Y, log_Y = exp_step(log_X, np.diag([1.0, -1.0]), 1.0)
-        assert np.allclose(Y, np.diag([2.0 * np.exp(-1.0), 2.0 * np.e]))
-        assert np.allclose(matrix_log(Y), log_Y)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            exp_step(np.zeros((2, 2)), np.eye(3), 0.1)
 
 
 class TestProjectTrace:
@@ -169,8 +152,8 @@ def olo_play(L_seq, N, eta, cs):
     total = 0.0
     for L in L_seq:
         total += inner(X, L)
-        Y, log_Y = exp_step(log_X, L, eta)
-        X, alpha = project_qre(Y, cs)
+        log_Y = log_X - eta * L
+        X, alpha = project_qre(matrix_exp(log_Y), cs)
         log_X = log_Y - sum(a * c.A for a, c in zip(alpha, cs.constraints))
     return total, X
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpred.decompose import CutSet, cut_matrix, decompose_cut
-from matpred.linalg import inner, matrix_log
+from matpred.harness import PROBLEMS, Params, run_learner
+from matpred.linalg import inner, matrix_exp, matrix_log
 from matpred.mmw import project_qre
 from matpred.omp import (
     InvariantViolation,
@@ -14,6 +15,7 @@ from matpred.omp import (
     constraints_Kt,
     embed_phi,
     eta_default,
+    exp_step,
     loss_matrix,
     new_session,
     omp_round,
@@ -154,6 +156,71 @@ class TestEmbedPhi:
         assert Phi.shape == (4, 4)
         assert np.array_equal(Phi[2:, 2:], d.N)
         assert np.count_nonzero(Phi[:2, 2:]) == 0
+
+
+def flip(cfg):
+    """The diagonal of S = diag(1_m, -1_n)."""
+    return np.concatenate((np.ones(cfg.m), -np.ones(cfg.n)))
+
+
+class TestExpStep:
+    def test_identity_loss_rescales(self):
+        cfg = small_cfg(m=1, n=1, tau=1.0, eta=0.5)  # N = 2
+        Y, log_Y = exp_step(np.zeros((2, 2)), np.eye(2), cfg)
+        assert np.allclose(Y, np.exp(-0.5) * np.eye(2))
+        assert np.array_equal(log_Y, -0.5 * np.eye(2))
+
+    def test_commuting_diagonal(self):
+        cfg = small_cfg(m=1, n=1, tau=1.0, eta=1.0)
+        log_X = np.log(2.0) * np.eye(2)
+        Y, log_Y = exp_step(log_X, np.diag([1.0, -1.0]), cfg)
+        assert np.allclose(Y, np.diag([2.0 * np.exp(-1.0), 2.0 * np.e]))
+        assert np.allclose(matrix_log(Y), log_Y)
+
+    def test_shape_mismatch(self):
+        cfg = small_cfg(m=1, n=1, tau=1.0, eta=0.1)
+        with pytest.raises(ValueError):
+            exp_step(np.zeros((2, 2)), np.eye(3), cfg)
+        with pytest.raises(ValueError):
+            exp_step(np.zeros((4, 4)), np.eye(4), cfg)
+
+    @pytest.mark.parametrize("cfg", [maxcut_config(n=4, T=10), cf_config(2, 3, 2.0, 1.0, T=10)],
+                             ids=["symmetric", "nonsymmetric"])
+    def test_matches_full_exponential(self, cfg):
+        # On a block-diagonal log iterate (lower block S A S on a
+        # non-symmetric class) the block step is the full exponential.
+        p = cfg.p
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal((p, p))
+        A = 0.5 * (M + M.T)
+        if cfg.symmetric_class:
+            M = rng.standard_normal((p, p))
+            B = 0.5 * (M + M.T)
+        else:
+            B = flip(cfg)[:, None] * A * flip(cfg)
+        log_X = np.zeros((2 * p, 2 * p))
+        log_X[:p, :p], log_X[p:, p:] = A, B
+        L = loss_matrix(0.5, 1, 2, cfg)
+        Y, log_Y = exp_step(log_X, L, cfg)
+        assert np.array_equal(log_Y, log_X - cfg.eta * L)
+        full = matrix_exp(log_Y)
+        assert np.max(np.abs(Y - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_log_iterate_keeps_block_structure(problem):
+    # Every L_t and every constraint of K_t acts on both p x p diagonal
+    # blocks alike, which is what lets exp_step work on one block.
+    p = Params(n=5, T=200)
+    entry = PROBLEMS[problem]
+    cfg = entry.config(p)
+    session, _ = run_learner(cfg, entry.adversary(p, 1))
+    P, lp = cfg.p, session.log_pending
+    assert not np.any(lp[:P, P:]) and not np.any(lp[P:, :P])
+    if not cfg.symmetric_class:
+        assert np.array_equal(lp[P:, P:], flip(cfg)[:, None] * lp[:P, :P] * flip(cfg))
+    full = matrix_exp(lp)
+    assert np.max(np.abs(session.pending - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestOmpRound:

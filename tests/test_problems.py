@@ -58,6 +58,11 @@ class TestLossFn:
         with pytest.raises(ValueError):
             LossFn("huber", 0.0).value(0.0)
 
+    @pytest.mark.parametrize("param", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_param_rejected(self, param):
+        with pytest.raises(ValueError, match="finite"):
+            LossFn("linear", param)
+
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(["absolute_halved", "absolute", "linear"]),
            st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
