@@ -6,9 +6,10 @@ this module: symmetrization of rectangular matrices, eigendecomposition,
 spectral matrix functions (exp / log), the trace norm, and the quantum
 relative entropy.
 
-Matrices are plain float ndarrays. Symmetric matrices are kept canonical by
-averaging with the transpose after every spectral round-trip, which removes
-the slow drift that otherwise accumulates.
+Matrices are plain float ndarrays. `matrix_exp` returns an exactly
+symmetric result by construction; the other spectral round-trips average
+with the transpose, which removes the slow drift that otherwise
+accumulates.
 """
 
 from __future__ import annotations
@@ -63,9 +64,17 @@ def eig_sym(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_exp(M: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix: V diag(exp(lam)) V.T."""
-    lam, V = eig_sym(M)
-    return sym_average((V * np.exp(lam)) @ V.T)
+    """Matrix exponential of an exactly symmetric matrix, or of each matrix
+    of a stack of them (shape (..., d, d)).
+
+    `eigh` reads one triangle of M, so M must be exactly symmetric. The
+    result is W W^T with W = V diag(exp(lam / 2)); numpy computes a product
+    of a matrix with its own transpose as a symmetric rank-k update, so the
+    result is exactly symmetric too.
+    """
+    lam, V = np.linalg.eigh(M)
+    W = V * np.exp(0.5 * lam)[..., None, :]
+    return W @ np.swapaxes(W, -1, -2)
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:

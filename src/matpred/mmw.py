@@ -8,7 +8,10 @@ X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha
 maximizing -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j. Its
 logarithm is known in closed form, so a caller that keeps log Y never
 needs a matrix logarithm to take the next step. The projection works on
-the full matrix and assumes no block structure.
+the full matrix and assumes no block structure. `satisfied` is its
+feasibility tolerance, shared with `omp_round`, which tests the step
+against K_t on the p x p blocks and calls `project_qre` only when the
+test fails.
 
 The dual has at most a handful of variables, so it is solved by cyclic
 coordinate ascent with scalar bisection; the trace constraint (A = I) has a
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import inner, matrix_exp, matrix_log, sym_average
+from .linalg import inner, matrix_exp, matrix_log
 
 # The dual solver's relative KKT tolerance and sweep cap (see project_qre).
 PROJECTION_TOL = 1e-7
@@ -63,6 +66,12 @@ class ConstraintSet:
                 raise ValueError("constraint matrix order mismatch")
 
 
+def satisfied(value: float, b: float) -> bool:
+    """Whether a constraint value A . X <= b holds within the projection's
+    tolerance PROJECTION_TOL * (1 + |b|)."""
+    return value <= b + PROJECTION_TOL * (1.0 + abs(b))
+
+
 def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
     if c.b >= 1.0:
         return 3.0 * tau
@@ -84,7 +93,7 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarra
     """
     m = len(cs.constraints)
     alpha = np.zeros(m)
-    if all(inner(c.A, Y) <= c.b + PROJECTION_TOL * (1.0 + abs(c.b)) for c in cs.constraints):
+    if all(satisfied(inner(c.A, Y), c.b) for c in cs.constraints):
         return Y, alpha
 
     logY = matrix_log(Y)
@@ -118,7 +127,7 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarra
             default=0.0,
         )
         if primal <= PROJECTION_TOL and slack <= PROJECTION_TOL:
-            return sym_average(X), alpha
+            return X, alpha
     raise ProjectionError(
         f"projection did not converge: primal violation {primal:.3e}, "
         f"complementary slackness {slack:.3e}, duals {alpha}"

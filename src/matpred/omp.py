@@ -3,17 +3,23 @@
 A session maintains a 2p x 2p PSD iterate whose upper-left and lower-right
 halves carry the positive and negative parts of the predicted matrix. Each
 round proceeds in the order: receive the queried entry, project the pending
-exponentiated step onto the four-constraint polytope for that entry, read
-off the prediction, evaluate the loss, and stash the next exponentiated
-step. The session also carries the pending step's logarithm: the
-projection subtracts sum_j alpha_j A_j from it and the step subtracts
+exponentiated step onto the four-constraint polytope K_t for that entry,
+read off the prediction, evaluate the loss, and stash the next
+exponentiated step. The session also carries the pending step's logarithm:
+the projection subtracts sum_j alpha_j A_j from it and the step subtracts
 eta L, so the step takes no matrix logarithm.
 
 Every loss matrix and every constraint acts on the two p x p diagonal
-blocks alike, so the log iterate stays diag(A, B); on a non-symmetric
-class B = S A S with S = diag(1_m, -1_n). The step (`exp_step`)
-exponentiates the p x p blocks alone: one of them on a non-symmetric
-class, both on a symmetric one. The projection works at order 2p.
+blocks alike, so the iterate stays diag(A, B); on a non-symmetric class
+B = S A S with S = diag(1_m, -1_n). The session therefore carries only
+the blocks, as a (k, p, p) stack: k = 1 (the upper block) on a
+non-symmetric class, k = 2 on a symmetric one. A round whose step already
+lies in K_t reads D.Y, E.Y and Tr Y from five block entries and the trace,
+predicts from the same entries, and builds no 2p x 2p matrix; only a round
+that must project assembles the full iterate (`full_iterate`) for
+`project_qre` and folds the duals back into the blocks. The step
+(`exp_step`) moves the four block entries of the queried pair and takes
+one `matrix_exp` of the stack.
 
 Entry indices on the API surface are 1-based, matching the row/column
 numbering of the predicted matrix.
@@ -28,7 +34,7 @@ import numpy as np
 
 from .decompose import Decomposition
 from .linalg import matrix_exp
-from .mmw import ConstraintSet, LinConstraint, project_qre
+from .mmw import ConstraintSet, LinConstraint, project_qre, satisfied
 
 # Predictions within this distance outside the range are clamped and
 # recorded; anything farther is an invariant violation.
@@ -114,8 +120,8 @@ class OmpSession:
     """State threaded through omp_round; strictly sequential per session."""
 
     config: OmpConfig
-    pending: np.ndarray  # exponentiated step awaiting projection
-    log_pending: np.ndarray  # its logarithm
+    pending: np.ndarray  # p x p blocks of the exponentiated step awaiting projection
+    log_pending: np.ndarray  # the blocks of its logarithm
     round: int = 1
     last_event: LossEvent | None = None
     max_eta_norm: float = 0.0  # max eta * ||L_t|| observed
@@ -123,8 +129,41 @@ class OmpSession:
 
 def new_session(cfg: OmpConfig) -> OmpSession:
     N = 2 * cfg.p
-    return OmpSession(config=cfg, pending=(cfg.tau / N) * np.eye(N),
-                      log_pending=math.log(cfg.tau / N) * np.eye(N))
+    eye = np.broadcast_to(np.eye(cfg.p), _block_shape(cfg))
+    return OmpSession(config=cfg, pending=(cfg.tau / N) * eye,
+                      log_pending=math.log(cfg.tau / N) * eye)
+
+
+def _block_shape(cfg: OmpConfig) -> tuple[int, int, int]:
+    """Shape of the session's block stack: the upper block alone on a
+    non-symmetric class (the lower one is S upper S), both on a symmetric one."""
+    return (2 if cfg.symmetric_class else 1, cfg.p, cfg.p)
+
+
+def full_iterate(Y: np.ndarray, cfg: OmpConfig) -> np.ndarray:
+    """The 2p x 2p block-diagonal matrix whose p x p blocks are the stack Y.
+
+    Holds for the iterate and its logarithm alike, since S exp(A) S =
+    exp(S A S).
+    """
+    if Y.shape != _block_shape(cfg):
+        raise ValueError(f"expected blocks of shape {_block_shape(cfg)}, got {Y.shape}")
+    p = cfg.p
+    F = np.zeros((2 * p, 2 * p))
+    F[:p, :p] = Y[0]
+    if cfg.symmetric_class:
+        F[p:, p:] = Y[1]
+    else:
+        s = np.concatenate((np.ones(cfg.m), -np.ones(cfg.n)))
+        F[p:, p:] = s[:, None] * Y[0] * s
+    return F
+
+
+def blocks_of(F: np.ndarray, cfg: OmpConfig) -> np.ndarray:
+    """The block stack of a 2p x 2p block-diagonal matrix: `full_iterate`'s
+    inverse."""
+    p = cfg.p
+    return np.stack((F[:p, :p], F[p:, p:])) if cfg.symmetric_class else F[None, :p, :p]
 
 
 def predict(X: np.ndarray, i: int, j: int, cfg: OmpConfig) -> float:
@@ -134,13 +173,36 @@ def predict(X: np.ndarray, i: int, j: int, cfg: OmpConfig) -> float:
     return float(X[i - 1, j + q - 1] - X[p + i - 1, p + j + q - 1])
 
 
+def block_values(Y: np.ndarray, i: int, j: int, cfg: OmpConfig) -> tuple[float, float, float]:
+    """D . X, E . X and Tr X of the iterate X whose block stack is Y: the
+    left-hand sides of K_t (see constraints_Kt), read from five block
+    entries and the trace. E . X is also the prediction read from X."""
+    a, b = _pair(i, j, cfg)
+    upper, lower = Y[0], Y[-1]
+    # On a non-symmetric class lower = S upper S, and S flips the sign of
+    # the queried entry (a < m <= b).
+    sign = 1.0 if cfg.symmetric_class else -1.0
+    diag = upper[a, a] + upper[b, b] + lower[a, a] + lower[b, b]
+    trace = np.trace(Y, axis1=1, axis2=2).sum()
+    if not cfg.symmetric_class:
+        trace *= 2.0
+    return float(diag), float(upper[a, b] - sign * lower[a, b]), float(trace)
+
+
+def in_Kt(values: tuple[float, float, float], cfg: OmpConfig) -> bool:
+    """Whether `block_values` lie in K_t, within the projection's tolerance."""
+    diag, e, trace = values
+    b_diag, b_hi, b_lo, b_trace = _bounds(cfg)
+    return (satisfied(diag, b_diag) and satisfied(e, b_hi) and satisfied(-e, b_lo)
+            and satisfied(trace, b_trace))
+
+
 def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
     """The 4-sparse symmetric loss matrix: +g at (i, j+q) and its mirror,
     -g at the shifted pair. Traceless, with Tr(L^2) = 4 g^2 and spectral
     norm |g|."""
     _check_indices(i, j, cfg)
-    if abs(g) > cfg.G + 1e-12:
-        raise ValueError(f"|g|={abs(g)} exceeds Lipschitz bound G={cfg.G}")
+    _check_subgradient(g, cfg)
     p, q = cfg.p, cfg.q
     L = np.zeros((2 * p, 2 * p))
     L[i - 1, j + q - 1] = L[j + q - 1, i - 1] = g
@@ -154,7 +216,7 @@ def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
     _check_indices(i, j, cfg)
     p, q = cfg.p, cfg.q
     N = 2 * p
-    lo, hi = cfg.prediction_range
+    b_diag, b_hi, b_lo, b_trace = _bounds(cfg)
 
     D = np.zeros((N, N))
     for idx in (i - 1, j + q - 1, p + i - 1, p + j + q - 1):
@@ -166,14 +228,20 @@ def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
 
     return ConstraintSet(
         constraints=(
-            LinConstraint(A=D, b=4.0 * cfg.beta),
-            LinConstraint(A=E, b=float(hi)),
-            LinConstraint(A=-E, b=float(-lo)),
-            LinConstraint(A=np.eye(N), b=float(cfg.tau)),
+            LinConstraint(A=D, b=b_diag),
+            LinConstraint(A=E, b=b_hi),
+            LinConstraint(A=-E, b=b_lo),
+            LinConstraint(A=np.eye(N), b=b_trace),
         ),
         order=N,
         tau=cfg.tau,
     )
+
+
+def _bounds(cfg: OmpConfig) -> tuple[float, float, float, float]:
+    """Right-hand sides of K_t's constraints D, E, -E and I."""
+    lo, hi = cfg.prediction_range
+    return 4.0 * cfg.beta, float(hi), float(-lo), float(cfg.tau)
 
 
 def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpSession]:
@@ -185,13 +253,20 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     cfg = session.config
     if session.round > cfg.T:
         raise InvariantViolation(f"round {session.round} exceeds horizon T={cfg.T}")
+    _check_indices(i, j, cfg)
     if cfg.symmetric_class and i == j:
         # K_t and L_t assume two distinct mirrored entries; the diagonal of
         # a symmetric class member (a cut matrix's is -1) is not predicted.
         raise IndexError(f"entry ({i}, {j}) is on the diagonal of a symmetric class")
-    cs = constraints_Kt(i, j, cfg)
-    X, duals = project_qre(session.pending, cs)
-    yhat = predict(X, i, j, cfg)
+    values = block_values(session.pending, i, j, cfg)
+    if in_Kt(values, cfg):
+        yhat, log_X = values[1], session.log_pending
+    else:
+        cs = constraints_Kt(i, j, cfg)
+        X, duals = project_qre(full_iterate(session.pending, cfg), cs)
+        yhat = predict(X, i, j, cfg)
+        log_X = blocks_of(full_iterate(session.log_pending, cfg)
+                          - sum(a * c.A for a, c in zip(duals, cs.constraints) if a), cfg)
     lo, hi = cfg.prediction_range
     if yhat < lo - CLAMP_SLACK or yhat > hi + CLAMP_SLACK:
         raise InvariantViolation(f"prediction {yhat} outside range [{lo}, {hi}]")
@@ -199,38 +274,37 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
 
     loss = float(loss_fn.value(yhat))
     g = float(loss_fn.subgradient(yhat))
-    L = loss_matrix(g, i, j, cfg)
+    _check_subgradient(g, cfg)
     session.max_eta_norm = max(session.max_eta_norm, cfg.eta * abs(g))
 
-    log_X = session.log_pending - sum(a * c.A for a, c in zip(duals, cs.constraints) if a)
-    session.pending, session.log_pending = exp_step(log_X, L, cfg)
+    session.pending, session.log_pending = exp_step(log_X, g, i, j, cfg)
     session.last_event = LossEvent(t=session.round, i=i, j=j, yhat=yhat, g=g, loss=loss)
     session.round += 1
     return yhat, session
 
 
-def exp_step(log_X: np.ndarray, L: np.ndarray, cfg: OmpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The unprojected update Y = exp(log X - eta L), returned with log Y.
+def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
+             cfg: OmpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The unprojected update Y = exp(log X - eta L_t) on the block stack,
+    returned with log Y.
 
-    log X must have the reduction's block form diag(A, B), with, on a
-    non-symmetric class, B = S A S for S = diag(1_m, -1_n); every loss
-    matrix and every constraint of K_t keeps that form. So Y is
-    diag(exp A', exp B') for the blocks A', B' of log Y, and on a
-    non-symmetric class exp B' = S exp(A') S: the step exponentiates one
-    p x p block, or both on a symmetric class.
+    L_t = loss_matrix(g, i, j, cfg) is +g at the queried pair of the upper
+    block and -g at that of the lower block, so the step moves those
+    entries alone (on a non-symmetric class the lower block follows as
+    S upper S) and exponentiates the stack in one `matrix_exp` call.
     """
-    p = cfg.p
-    log_Y = log_X - cfg.eta * L
-    if log_Y.shape != (2 * p, 2 * p):
-        raise ValueError(f"exp_step: expected order {2 * p}, got {log_Y.shape}")
-    Y = np.zeros_like(log_Y)
-    Y[:p, :p] = upper = matrix_exp(log_Y[:p, :p])
+    if log_X.shape != _block_shape(cfg):
+        raise ValueError(f"exp_step: expected blocks of shape {_block_shape(cfg)}, "
+                         f"got {log_X.shape}")
+    a, b = _pair(i, j, cfg)
+    step = cfg.eta * g
+    log_Y = log_X.copy()
+    log_Y[0, a, b] -= step
+    log_Y[0, b, a] -= step
     if cfg.symmetric_class:
-        Y[p:, p:] = matrix_exp(log_Y[p:, p:])
-    else:
-        s = np.concatenate((np.ones(cfg.m), -np.ones(cfg.n)))
-        Y[p:, p:] = s[:, None] * upper * s
-    return Y, log_Y
+        log_Y[1, a, b] += step
+        log_Y[1, b, a] += step
+    return matrix_exp(log_Y), log_Y
 
 
 def embed_phi(d: Decomposition) -> np.ndarray:
@@ -246,3 +320,14 @@ def embed_phi(d: Decomposition) -> np.ndarray:
 def _check_indices(i: int, j: int, cfg: OmpConfig):
     if not (1 <= i <= cfg.m and 1 <= j <= cfg.n):
         raise IndexError(f"entry ({i}, {j}) outside [1..{cfg.m}] x [1..{cfg.n}]")
+
+
+def _pair(i: int, j: int, cfg: OmpConfig) -> tuple[int, int]:
+    """0-based block coordinates (i - 1, j + q - 1) of the queried entry."""
+    _check_indices(i, j, cfg)
+    return i - 1, j + cfg.q - 1
+
+
+def _check_subgradient(g: float, cfg: OmpConfig):
+    if abs(g) > cfg.G + 1e-12:
+        raise ValueError(f"|g|={abs(g)} exceeds Lipschitz bound G={cfg.G}")

@@ -98,6 +98,24 @@ class TestMatrixFn:
         back = matrix_log(matrix_exp(M))
         assert np.max(np.abs(back - M)) <= 1e-8
 
+    def test_exp_of_stack_is_exp_of_each(self):
+        rng = np.random.default_rng(4)
+        for d in (1, 3, 16, 32):
+            stack = np.stack([random_symmetric(rng, d), random_symmetric(rng, d)])
+            E = matrix_exp(stack)
+            assert E.shape == (2, d, d)
+            for k in range(2):
+                single = matrix_exp(stack[k])
+                assert np.max(np.abs(E[k] - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_exp_is_exactly_symmetric(self):
+        rng = np.random.default_rng(5)
+        for d in (2, 7, 32, 64):
+            E = matrix_exp(random_symmetric(rng, d, scale=3.0))
+            assert np.array_equal(E, E.T)
+            S = matrix_exp(np.stack([random_symmetric(rng, d), random_symmetric(rng, d)]))
+            assert np.array_equal(S, np.swapaxes(S, 1, 2))
+
     def test_exp_of_traceless_diagonal_has_unit_det(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

@@ -9,13 +9,18 @@ from matpred.decompose import CutSet, cut_matrix, decompose_cut
 from matpred.harness import PROBLEMS, Params, run_learner
 from matpred.linalg import inner, matrix_exp, matrix_log
 from matpred.mmw import project_qre
+from matpred import omp
 from matpred.omp import (
     InvariantViolation,
     OmpConfig,
+    block_values,
+    blocks_of,
     constraints_Kt,
     embed_phi,
     eta_default,
     exp_step,
+    full_iterate,
+    in_Kt,
     loss_matrix,
     new_session,
     omp_round,
@@ -130,7 +135,7 @@ class TestConstraints:
         cfg = small_cfg()
         s = new_session(cfg)
         for c in constraints_Kt(1, 3, cfg).constraints:
-            assert inner(c.A, s.pending) <= c.b + 1e-12
+            assert inner(c.A, full_iterate(s.pending, cfg)) <= c.b + 1e-12
 
 
 class TestEmbedPhi:
@@ -163,64 +168,135 @@ def flip(cfg):
     return np.concatenate((np.ones(cfg.m), -np.ones(cfg.n)))
 
 
+def random_blocks(cfg, rng):
+    """A random stack of symmetric p x p blocks of the session's shape:
+    two on a symmetric class, one on a non-symmetric one."""
+    M = rng.standard_normal((2 if cfg.symmetric_class else 1, cfg.p, cfg.p))
+    return 0.5 * (M + np.swapaxes(M, 1, 2))
+
+
+BOTH_CLASSES = pytest.mark.parametrize(
+    "cfg", [maxcut_config(n=4, T=10), cf_config(2, 3, 2.0, 1.0, T=10)],
+    ids=["symmetric", "nonsymmetric"])
+
+
 class TestExpStep:
-    def test_identity_loss_rescales(self):
-        cfg = small_cfg(m=1, n=1, tau=1.0, eta=0.5)  # N = 2
-        Y, log_Y = exp_step(np.zeros((2, 2)), np.eye(2), cfg)
-        assert np.allclose(Y, np.exp(-0.5) * np.eye(2))
-        assert np.array_equal(log_Y, -0.5 * np.eye(2))
-
     def test_commuting_diagonal(self):
-        cfg = small_cfg(m=1, n=1, tau=1.0, eta=1.0)
-        log_X = np.log(2.0) * np.eye(2)
-        Y, log_Y = exp_step(log_X, np.diag([1.0, -1.0]), cfg)
-        assert np.allclose(Y, np.diag([2.0 * np.exp(-1.0), 2.0 * np.e]))
-        assert np.allclose(matrix_log(Y), log_Y)
+        # n = 2 from log X = log(2) I, which commutes with L_t: the step puts
+        # -eta g on the upper block's off-diagonal and +eta g on the lower
+        # one's, and exp [[0, x], [x, 0]] = [[cosh x, sinh x], [sinh x, cosh x]].
+        cfg = maxcut_config(n=2, T=10, eta=0.5)
+        Y, log_Y = exp_step(np.log(2.0) * np.stack((np.eye(2), np.eye(2))), 0.5, 1, 2, cfg)
+        x, l2 = 0.25, np.log(2.0)
+        assert np.array_equal(log_Y, np.array([[[l2, -x], [-x, l2]], [[l2, x], [x, l2]]]))
+        c, sh = 2 * np.cosh(x), 2 * np.sinh(x)
+        assert np.allclose(Y, np.array([[[c, -sh], [-sh, c]], [[c, sh], [sh, c]]]),
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(matrix_log(full_iterate(Y, cfg)), full_iterate(log_Y, cfg))
 
-    def test_shape_mismatch(self):
-        cfg = small_cfg(m=1, n=1, tau=1.0, eta=0.1)
-        with pytest.raises(ValueError):
-            exp_step(np.zeros((2, 2)), np.eye(3), cfg)
-        with pytest.raises(ValueError):
-            exp_step(np.zeros((4, 4)), np.eye(4), cfg)
+    @BOTH_CLASSES
+    def test_update_is_blocks_of_loss_step(self, cfg):
+        rng = np.random.default_rng(1)
+        log_X = random_blocks(cfg, rng)
+        for i, j in ((1, 2), (2, 3), (2, 1)):
+            _, log_Y = exp_step(log_X, -0.3, i, j, cfg)
+            L = loss_matrix(-0.3, i, j, cfg)
+            assert np.array_equal(log_Y, blocks_of(full_iterate(log_X, cfg) - cfg.eta * L, cfg))
 
-    @pytest.mark.parametrize("cfg", [maxcut_config(n=4, T=10), cf_config(2, 3, 2.0, 1.0, T=10)],
-                             ids=["symmetric", "nonsymmetric"])
+    @BOTH_CLASSES
     def test_matches_full_exponential(self, cfg):
         # On a block-diagonal log iterate (lower block S A S on a
         # non-symmetric class) the block step is the full exponential.
-        p = cfg.p
-        rng = np.random.default_rng(2)
-        M = rng.standard_normal((p, p))
-        A = 0.5 * (M + M.T)
-        if cfg.symmetric_class:
-            M = rng.standard_normal((p, p))
-            B = 0.5 * (M + M.T)
-        else:
-            B = flip(cfg)[:, None] * A * flip(cfg)
-        log_X = np.zeros((2 * p, 2 * p))
-        log_X[:p, :p], log_X[p:, p:] = A, B
-        L = loss_matrix(0.5, 1, 2, cfg)
-        Y, log_Y = exp_step(log_X, L, cfg)
-        assert np.array_equal(log_Y, log_X - cfg.eta * L)
-        full = matrix_exp(log_Y)
-        assert np.max(np.abs(Y - full)) <= 1e-12 * np.max(np.abs(full))
+        Y, log_Y = exp_step(random_blocks(cfg, np.random.default_rng(2)), 0.5, 1, 2, cfg)
+        full = matrix_exp(full_iterate(log_Y, cfg))
+        assert np.max(np.abs(full_iterate(Y, cfg) - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_shape_mismatch(self):
+        for cfg in (maxcut_config(n=4, T=10), cf_config(2, 3, 2.0, 1.0, T=10)):
+            p, k = cfg.p, 2 if cfg.symmetric_class else 1
+            for shape in ((2 * p, 2 * p), (p, p), (3 - k, p, p), (k, p + 1, p + 1)):
+                with pytest.raises(ValueError):
+                    exp_step(np.zeros(shape), 0.1, 1, 2, cfg)
+
+    def test_index_checked(self):
+        # numpy would wrap a negative index onto another entry
+        cfg = cf_config(2, 3, 2.0, 1.0, T=10)
+        for i, j in ((0, 1), (1, 0), (3, 1), (1, 4)):
+            with pytest.raises(IndexError):
+                exp_step(np.zeros((1, 5, 5)), 0.1, i, j, cfg)
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_log_iterate_keeps_block_structure(problem):
     # Every L_t and every constraint of K_t acts on both p x p diagonal
-    # blocks alike, which is what lets exp_step work on one block.
+    # blocks alike, which is what lets the session carry the blocks alone.
     p = Params(n=5, T=200)
     entry = PROBLEMS[problem]
     cfg = entry.config(p)
     session, _ = run_learner(cfg, entry.adversary(p, 1))
-    P, lp = cfg.p, session.log_pending
+    P, lp = cfg.p, full_iterate(session.log_pending, cfg)
+    assert session.log_pending.shape == (2 if cfg.symmetric_class else 1, P, P)
     assert not np.any(lp[:P, P:]) and not np.any(lp[P:, :P])
     if not cfg.symmetric_class:
         assert np.array_equal(lp[P:, P:], flip(cfg)[:, None] * lp[:P, :P] * flip(cfg))
     full = matrix_exp(lp)
-    assert np.max(np.abs(session.pending - full)) <= 1e-12 * np.max(np.abs(full))
+    pending = full_iterate(session.pending, cfg)
+    assert np.max(np.abs(pending - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_block_test_agrees_with_projection(problem):
+    # The block read decides "feasible" exactly when the order-2p
+    # projection returns zero duals, and reads the prediction that
+    # `predict` reads off the assembled iterate.
+    p = Params(n=5, T=150)
+    entry = PROBLEMS[problem]
+    cfg = entry.config(p)
+    s = new_session(cfg)
+    feasible = 0
+    for (i, j), lf in entry.adversary(p, 3).rounds:
+        Y = full_iterate(s.pending, cfg)
+        values = block_values(s.pending, i, j, cfg)
+        _, duals = project_qre(Y, constraints_Kt(i, j, cfg))
+        assert in_Kt(values, cfg) == (not np.any(duals))
+        assert values[1] == predict(Y, i, j, cfg)
+        feasible += in_Kt(values, cfg)
+        _, s = omp_round(s, i, j, lf)
+    assert 0 < feasible < p.T
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_feasible_round_builds_no_full_matrix(problem, monkeypatch):
+    # Only a round whose step leaves K_t assembles the 2p x 2p iterate and
+    # its log, builds K_t and projects; no round builds L_t.
+    calls = dict.fromkeys(("full_iterate", "constraints_Kt", "project_qre",
+                           "loss_matrix", "predict", "infeasible"), 0)
+
+    def counted(name):
+        fn = getattr(omp, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(omp, name, wrapper)
+
+    for name in ("full_iterate", "constraints_Kt", "project_qre", "loss_matrix", "predict"):
+        counted(name)
+    in_kt = omp.in_Kt
+
+    def decided(values, cfg):
+        ok = in_kt(values, cfg)
+        calls["infeasible"] += not ok
+        return ok
+    monkeypatch.setattr(omp, "in_Kt", decided)
+
+    p = Params(n=5, T=200)
+    entry = PROBLEMS[problem]
+    run_learner(entry.config(p), entry.adversary(p, 1))
+    k = calls["infeasible"]
+    assert 0 < k < p.T
+    assert calls == dict(full_iterate=2 * k, constraints_Kt=k, project_qre=k,
+                         loss_matrix=0, predict=k, infeasible=k)
 
 
 class TestOmpRound:
@@ -253,6 +329,26 @@ class TestOmpRound:
         with pytest.raises(InvariantViolation):
             omp_round(s, 1, 2, LossFn("absolute_halved", 1.0))
 
+    @pytest.mark.parametrize("cfg", [maxcut_config(n=3, T=10), cf_config(2, 3, 2.0, 1.0, T=10)],
+                             ids=["symmetric", "nonsymmetric"])
+    def test_bad_index_leaves_session_unchanged(self, cfg):
+        s = new_session(cfg)
+        _, s = omp_round(s, 1, 2, LossFn("linear", 0.5))
+        pending, log_pending = s.pending.copy(), s.log_pending.copy()
+        for i, j in ((0, 2), (1, 0), (0, 0), (cfg.m + 1, 1), (1, cfg.n + 1), (-1, 2)):
+            with pytest.raises(IndexError):
+                omp_round(s, i, j, LossFn("linear", 0.5))
+            assert s.round == 2
+            assert np.array_equal(s.pending, pending)
+            assert np.array_equal(s.log_pending, log_pending)
+
+    def test_subgradient_above_G_rejected(self):
+        cfg = cf_config(2, 2, 2.0, 1.0, T=10)  # G = 1
+        s = new_session(cfg)
+        with pytest.raises(ValueError, match="exceeds Lipschitz bound"):
+            omp_round(s, 1, 2, LossFn("linear", 2.0))
+        assert s.round == 1
+
     def test_iterate_stays_in_polytope(self):
         cfg = maxcut_config(n=3, T=30)
         s = new_session(cfg)
@@ -260,7 +356,7 @@ class TestOmpRound:
         for _ in range(30):
             i, j = sorted(rng.choice(3, size=2, replace=False) + 1)
             y = float(rng.choice([-1.0, 1.0]))
-            X, _ = project_qre(s.pending, constraints_Kt(int(i), int(j), cfg))
+            X, _ = project_qre(full_iterate(s.pending, cfg), constraints_Kt(int(i), int(j), cfg))
             assert float(np.trace(X)) <= cfg.tau + 1e-6
             assert np.min(np.linalg.eigvalsh(X)) >= -1e-9
             _, s = omp_round(s, int(i), int(j), LossFn("absolute_halved", y))
@@ -270,19 +366,21 @@ class TestOmpRound:
         # active and inactive projections alike: log_pending = log X - eta L.
         cfg = cf_config(3, 3, 3.0, 1.0, T=40)
         s = new_session(cfg)
-        assert np.array_equal(s.pending, 0.5 * np.eye(12))  # (tau / N) I
-        assert np.array_equal(s.log_pending, np.log(0.5) * np.eye(12))
+        assert np.array_equal(full_iterate(s.pending, cfg), 0.5 * np.eye(12))  # (tau / N) I
+        assert np.array_equal(full_iterate(s.log_pending, cfg), np.log(0.5) * np.eye(12))
         rng = np.random.default_rng(8)
         active = 0
         for _ in range(40):
             i, j = (int(v) for v in rng.integers(1, 4, size=2))
             cs = constraints_Kt(i, j, cfg)
-            active += any(inner(c.A, s.pending) > c.b for c in cs.constraints)
-            X, _ = project_qre(s.pending, cs)
+            Y = full_iterate(s.pending, cfg)
+            active += any(inner(c.A, Y) > c.b for c in cs.constraints)
+            X, _ = project_qre(Y, cs)
             _, s = omp_round(s, i, j, LossFn("linear", float(rng.choice([-1.0, 1.0]))))
             L = loss_matrix(s.last_event.g, i, j, cfg)
-            assert np.max(np.abs(matrix_log(X) - cfg.eta * L - s.log_pending)) <= 1e-9
-            assert np.max(np.abs(matrix_log(s.pending) - s.log_pending)) <= 1e-9
+            log_pending = full_iterate(s.log_pending, cfg)
+            assert np.max(np.abs(matrix_log(X) - cfg.eta * L - log_pending)) <= 1e-9
+            assert np.max(np.abs(matrix_log(full_iterate(s.pending, cfg)) - log_pending)) <= 1e-9
         assert active > 0
 
     @settings(max_examples=25, deadline=None)
