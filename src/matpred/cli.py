@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 invariant/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -136,6 +137,19 @@ def _read(args, flag: str, reader, *extra):
         args.parser.error(str(exc))
 
 
+def _writable(args, *paths: str):
+    """Open each output file to append, and remove it again if it is new,
+    so that one that cannot be written is a usage error before any work."""
+    for path in paths:
+        try:
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                os.remove(path)
+        except OSError as exc:
+            args.parser.error(f"cannot write {path}: {exc.strerror}")
+
+
 def _sequences(args, p: Params):
     """The adversary's sequence as a function of the seed."""
     if args.adversary == "file":
@@ -176,6 +190,8 @@ def cmd_run(args) -> int:
         cfg = problem.config(p)
     comparator = None if args.no_comparator else partial(problem.comparator, p)
     sequence = _sequences(args, p)
+    if args.out:
+        _writable(args, args.out)
     bound = cfg.regret_bound()
     print(f"problem          {args.problem}")
     print(f"rounds           {p.T}")
@@ -193,6 +209,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.dump:
+        _writable(args, args.dump + ".P", args.dump + ".N")
     with _usage(args):
         if args.klass == "cut":
             members = frozenset(int(x) for x in args.set.split(",")) if args.set else frozenset()

@@ -8,10 +8,11 @@ X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha
 maximizing -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j. Its
 logarithm is known in closed form, so a caller that keeps log Y never
 needs a matrix logarithm to take the next step. The projection works on
-the full matrix and assumes no block structure. `satisfied` is its
-feasibility tolerance, shared with `omp_round`, which tests the step
-against K_t on the p x p blocks and calls `project_qre` only when the
-test fails.
+the full matrix and assumes no block structure. `satisfied` is its one
+feasibility rule: it decides the early return for a feasible input and,
+with complementary slackness, the stop; `omp_round` shares it to test the
+step against K_t on the p x p blocks, and calls `project_qre` only when
+that test fails.
 
 The dual has at most a handful of variables, so it is solved by cyclic
 coordinate ascent with scalar bisection; the trace constraint (A = I) has a
@@ -116,20 +117,12 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarra
             alpha[j] = new
         X = matrix_exp(logY - weighted)
         vals = np.array([inner(c.A, X) for c in cs.constraints])
-        primal = max(
-            max(float((vals[j] - cs.constraints[j].b) / (1.0 + abs(cs.constraints[j].b)))
-                for j in range(m)),
-            0.0,
-        )
-        slack = max(
-            (alpha[j] * (cs.constraints[j].b - vals[j]) / (1.0 + abs(cs.constraints[j].b))
-             for j in range(m)),
-            default=0.0,
-        )
-        if primal <= PROJECTION_TOL and slack <= PROJECTION_TOL:
+        slack = max(alpha[j] * (c.b - vals[j]) / (1.0 + abs(c.b))
+                    for j, c in enumerate(cs.constraints))
+        if all(satisfied(v, c.b) for v, c in zip(vals, cs.constraints)) and slack <= PROJECTION_TOL:
             return X, alpha
     raise ProjectionError(
-        f"projection did not converge: primal violation {primal:.3e}, "
+        f"projection did not converge: constraint values {vals}, "
         f"complementary slackness {slack:.3e}, duals {alpha}"
     )
 

@@ -16,10 +16,9 @@ the blocks, as a (k, p, p) stack: k = 1 (the upper block) on a
 non-symmetric class, k = 2 on a symmetric one. A round whose step already
 lies in K_t reads D.Y, E.Y and Tr Y from five block entries and the trace,
 predicts from the same entries, and builds no 2p x 2p matrix; only a round
-that must project assembles the full iterate (`full_iterate`) for
-`project_qre` and folds the duals back into the blocks. The step
-(`exp_step`) moves the four block entries of the queried pair and takes
-one `matrix_exp` of the stack.
+that must project assembles the pending iterate (`full_iterate`) for
+`project_qre`. L_t, K_t's D and E, the step and the dual fold are all
+written on the blocks by `_pair_term`, so the log iterate is never assembled.
 
 Entry indices on the API surface are 1-based, matching the row/column
 numbering of the predicted matrix.
@@ -67,8 +66,8 @@ class OmpConfig:
     def __post_init__(self):
         if min(self.m, self.n, self.T) < 1:
             raise ValueError(f"m, n and T must be >= 1, got m={self.m}, n={self.n}, T={self.T}")
-        if not (self.G > 0 and self.tau > 0):
-            raise ValueError(f"G and tau must be > 0, got G={self.G}, tau={self.tau}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.G, self.tau)):
+            raise ValueError(f"G and tau must be > 0 and finite, got G={self.G}, tau={self.tau}")
         if self.beta < 1.0:
             raise ValueError("beta must be >= 1")
         if self.symmetric_class and self.m != self.n:
@@ -80,8 +79,8 @@ class OmpConfig:
             )
         if self.eta is None:
             object.__setattr__(self, "eta", eta_default(self.tau, self.p, self.beta, self.G, self.T))
-        elif self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        elif not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be > 0 and finite, got eta={self.eta}")
 
     @property
     def q(self) -> int:
@@ -148,29 +147,21 @@ def full_iterate(Y: np.ndarray, cfg: OmpConfig) -> np.ndarray:
     """
     if Y.shape != _block_shape(cfg):
         raise ValueError(f"expected blocks of shape {_block_shape(cfg)}, got {Y.shape}")
-    p = cfg.p
+    p, m = cfg.p, cfg.m
     F = np.zeros((2 * p, 2 * p))
     F[:p, :p] = Y[0]
-    if cfg.symmetric_class:
-        F[p:, p:] = Y[1]
-    else:
-        s = np.concatenate((np.ones(cfg.m), -np.ones(cfg.n)))
-        F[p:, p:] = s[:, None] * Y[0] * s
+    F[p:, p:] = Y[-1]
+    if not cfg.symmetric_class:
+        # S A S negates A's off-diagonal m x n and n x m quadrants.
+        F[p:p + m, p + m:] *= -1.0
+        F[p + m:, p:p + m] *= -1.0
     return F
-
-
-def blocks_of(F: np.ndarray, cfg: OmpConfig) -> np.ndarray:
-    """The block stack of a 2p x 2p block-diagonal matrix: `full_iterate`'s
-    inverse."""
-    p = cfg.p
-    return np.stack((F[:p, :p], F[p:, p:])) if cfg.symmetric_class else F[None, :p, :p]
 
 
 def predict(X: np.ndarray, i: int, j: int, cfg: OmpConfig) -> float:
     """Read the prediction X(i, j+q) - X(p+i, p+j+q) (1-based indices)."""
-    _check_indices(i, j, cfg)
-    p, q = cfg.p, cfg.q
-    return float(X[i - 1, j + q - 1] - X[p + i - 1, p + j + q - 1])
+    a, b = _pair(i, j, cfg)
+    return float(X[a, b] - X[cfg.p + a, cfg.p + b])
 
 
 def block_values(Y: np.ndarray, i: int, j: int, cfg: OmpConfig) -> tuple[float, float, float]:
@@ -201,31 +192,17 @@ def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
     """The 4-sparse symmetric loss matrix: +g at (i, j+q) and its mirror,
     -g at the shifted pair. Traceless, with Tr(L^2) = 4 g^2 and spectral
     norm |g|."""
-    _check_indices(i, j, cfg)
     _check_subgradient(g, cfg)
-    p, q = cfg.p, cfg.q
-    L = np.zeros((2 * p, 2 * p))
-    L[i - 1, j + q - 1] = L[j + q - 1, i - 1] = g
-    L[p + i - 1, p + j + q - 1] = L[p + j + q - 1, p + i - 1] = -g
-    return L
+    return full_iterate(_pair_term(i, j, cfg, off=g), cfg)
 
 
 def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
     """The four-constraint polytope for the queried entry: diagonal sum
-    <= 4 beta, prediction within range, trace <= tau."""
-    _check_indices(i, j, cfg)
-    p, q = cfg.p, cfg.q
-    N = 2 * p
+    D . X <= 4 beta, prediction E . X within range, trace <= tau."""
+    N = 2 * cfg.p
     b_diag, b_hi, b_lo, b_trace = _bounds(cfg)
-
-    D = np.zeros((N, N))
-    for idx in (i - 1, j + q - 1, p + i - 1, p + j + q - 1):
-        D[idx, idx] = 1.0
-
-    E = np.zeros((N, N))
-    E[i - 1, j + q - 1] = E[j + q - 1, i - 1] = 0.5
-    E[p + i - 1, p + j + q - 1] = E[p + j + q - 1, p + i - 1] = -0.5
-
+    D = full_iterate(_pair_term(i, j, cfg, diag=1.0), cfg)
+    E = full_iterate(_pair_term(i, j, cfg, off=0.5), cfg)
     return ConstraintSet(
         constraints=(
             LinConstraint(A=D, b=b_diag),
@@ -236,6 +213,23 @@ def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
         order=N,
         tau=cfg.tau,
     )
+
+
+def _pair_term(i: int, j: int, cfg: OmpConfig, diag: float = 0.0, off: float = 0.0,
+               trace: float = 0.0) -> np.ndarray:
+    """The block stack of diag D + 2 off E + trace I (K_t's D and E): diag on
+    the pair's two diagonal entries of each block, +off on its mirrored
+    entries in the upper block and -off in the lower one, trace on every
+    diagonal entry. A diagonal pair (a == b) gets each part once."""
+    a, b = _pair(i, j, cfg)
+    term = np.zeros(_block_shape(cfg))
+    if trace:
+        term.reshape(len(term), -1)[:, ::cfg.p + 1] = trace
+    for k, sign in zip(range(len(term)), (1.0, -1.0)):
+        term[k, a, a] = term[k, b, b] = diag + trace
+        term[k, a, b] += sign * off
+        term[k, b, a] = term[k, a, b]
+    return term
 
 
 def _bounds(cfg: OmpConfig) -> tuple[float, float, float, float]:
@@ -262,11 +256,11 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     if in_Kt(values, cfg):
         yhat, log_X = values[1], session.log_pending
     else:
-        cs = constraints_Kt(i, j, cfg)
-        X, duals = project_qre(full_iterate(session.pending, cfg), cs)
+        X, duals = project_qre(full_iterate(session.pending, cfg), constraints_Kt(i, j, cfg))
         yhat = predict(X, i, j, cfg)
-        log_X = blocks_of(full_iterate(session.log_pending, cfg)
-                          - sum(a * c.A for a, c in zip(duals, cs.constraints) if a), cfg)
+        a_D, a_E, a_negE, a_I = duals
+        log_X = session.log_pending - _pair_term(i, j, cfg, diag=a_D, off=0.5 * (a_E - a_negE),
+                                                 trace=a_I)
     lo, hi = cfg.prediction_range
     if yhat < lo - CLAMP_SLACK or yhat > hi + CLAMP_SLACK:
         raise InvariantViolation(f"prediction {yhat} outside range [{lo}, {hi}]")
@@ -289,21 +283,14 @@ def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
     returned with log Y.
 
     L_t = loss_matrix(g, i, j, cfg) is +g at the queried pair of the upper
-    block and -g at that of the lower block, so the step moves those
-    entries alone (on a non-symmetric class the lower block follows as
-    S upper S) and exponentiates the stack in one `matrix_exp` call.
+    block and -g at that of the lower block (on a non-symmetric class the
+    lower block follows as S upper S): the step subtracts
+    `_pair_term(off=eta g)` and takes one `matrix_exp` of the stack.
     """
     if log_X.shape != _block_shape(cfg):
         raise ValueError(f"exp_step: expected blocks of shape {_block_shape(cfg)}, "
                          f"got {log_X.shape}")
-    a, b = _pair(i, j, cfg)
-    step = cfg.eta * g
-    log_Y = log_X.copy()
-    log_Y[0, a, b] -= step
-    log_Y[0, b, a] -= step
-    if cfg.symmetric_class:
-        log_Y[1, a, b] += step
-        log_Y[1, b, a] += step
+    log_Y = log_X - _pair_term(i, j, cfg, off=cfg.eta * g)
     return matrix_exp(log_Y), log_Y
 
 

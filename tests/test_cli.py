@@ -364,6 +364,11 @@ class TestExitCodes:
         file_run("1,1,2,absolute,1", "2,2,1,absolute,1", "3,1,3,absolute,1"),
         file_run("1,1,2,absolute,nan"),
         file_run("1,1,2,huber,1", extra=("--no-comparator",)),
+        ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--eta", "nan"),
+        ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--eta", "inf"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "inf"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "nan"),
+        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "nan"),
     ])
     def test_usage_error(self, argv, tmp_path):
         for k, arg in enumerate(argv):
@@ -375,6 +380,24 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "error:" in res.stderr and "Traceback" not in res.stderr
         assert "cumulative loss" not in res.stdout   # no round was played
+
+    @pytest.mark.parametrize("argv, written", [
+        (("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--out"), ""),
+        (("decompose", "triangular", "--k", "2", "--dump"), ".P"),
+    ])
+    def test_unwritable_output_is_usage_error(self, argv, written, tmp_path):
+        path = str(tmp_path / "missing" / "x")
+        res = matpred(*argv, path)
+        assert res.returncode == 2
+        assert f"error: cannot write {path}{written}" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert "cumulative loss" not in res.stdout and "valid" not in res.stdout
+
+    def test_usage_error_after_path_check_leaves_no_file(self, tmp_path):
+        # --out is probed before the comparator's size limit is checked.
+        path = tmp_path / "trace.csv"
+        res = matpred("run", "--problem", "gambling", "--n", "9", "--T", "5", "--out", str(path))
+        assert res.returncode == 2 and not path.exists()
 
     def test_cf_comparator_needs_linear_losses(self, tmp_path):
         path = tmp_path / "seq.csv"

@@ -14,7 +14,6 @@ from matpred.omp import (
     InvariantViolation,
     OmpConfig,
     block_values,
-    blocks_of,
     constraints_Kt,
     embed_phi,
     eta_default,
@@ -65,7 +64,9 @@ class TestOmpConfig:
         nonsym = dict(m=2, n=3, symmetric_class=False, beta=2.0, tau=4.0, G=1.0, T=10)
         for bad in (dict(G=0.0), dict(G=-1.0), dict(tau=0.0), dict(tau=-1.0),
                     dict(m=0), dict(n=0), dict(T=0),
-                    dict(G=0.0, eta=0.1), dict(tau=0.0, eta=0.1), dict(T=0, eta=0.1)):
+                    dict(G=0.0, eta=0.1), dict(tau=0.0, eta=0.1), dict(T=0, eta=0.1),
+                    dict(G=math.inf), dict(G=math.nan), dict(tau=math.inf), dict(tau=math.nan),
+                    dict(eta=math.inf), dict(eta=math.nan), dict(eta=-math.inf)):
             with pytest.raises(ValueError):
                 OmpConfig(**{**nonsym, **bad})
 
@@ -110,6 +111,11 @@ class TestPredict:
             predict(np.zeros((6, 6)), 1, 4, small_cfg())
 
 
+def nonzeros(A):
+    """The non-zero entries of A as {(row, column): value}."""
+    return {(int(r), int(c)): float(A[r, c]) for r, c in zip(*np.nonzero(A))}
+
+
 class TestConstraints:
     def test_structure(self):
         cfg = small_cfg()
@@ -121,6 +127,20 @@ class TestConstraints:
         assert I.b == 3.0
         assert np.array_equal(negE.A, -E.A)
         assert np.trace(D.A) == 4.0
+        assert np.array_equal(I.A, np.eye(6))
+        # The exact non-zero entries of D and E, written out by hand (0-based
+        # row, column of the 2p x 2p matrix). A diagonal query on a
+        # symmetric class sets each of its entries once.
+        nonsym = OmpConfig(m=2, n=3, symmetric_class=False, beta=2.0, tau=4.0, G=1.0, T=10)
+        for c, (i, j), d_at, e_hi, e_lo in (
+                (cfg, (1, 2), ((0, 0), (1, 1), (3, 3), (4, 4)), ((0, 1), (1, 0)), ((3, 4), (4, 3))),
+                (cfg, (2, 2), ((1, 1), (4, 4)), ((1, 1),), ((4, 4),)),
+                (cfg, (3, 1), ((0, 0), (2, 2), (3, 3), (5, 5)), ((2, 0), (0, 2)), ((5, 3), (3, 5))),
+                (nonsym, (2, 3), ((1, 1), (4, 4), (6, 6), (9, 9)), ((1, 4), (4, 1)), ((6, 9), (9, 6))),
+                (nonsym, (1, 1), ((0, 0), (2, 2), (5, 5), (7, 7)), ((0, 2), (2, 0)), ((5, 7), (7, 5)))):
+            D, E = (k.A for k in constraints_Kt(i, j, c).constraints[:2])
+            assert nonzeros(D) == dict.fromkeys(d_at, 1.0)
+            assert nonzeros(E) == {**dict.fromkeys(e_hi, 0.5), **dict.fromkeys(e_lo, -0.5)}
 
     def test_prediction_is_linear_in_E(self):
         cfg = small_cfg()
@@ -201,7 +221,7 @@ class TestExpStep:
         for i, j in ((1, 2), (2, 3), (2, 1)):
             _, log_Y = exp_step(log_X, -0.3, i, j, cfg)
             L = loss_matrix(-0.3, i, j, cfg)
-            assert np.array_equal(log_Y, blocks_of(full_iterate(log_X, cfg) - cfg.eta * L, cfg))
+            assert np.array_equal(full_iterate(log_Y, cfg), full_iterate(log_X, cfg) - cfg.eta * L)
 
     @BOTH_CLASSES
     def test_matches_full_exponential(self, cfg):
@@ -267,8 +287,9 @@ def test_block_test_agrees_with_projection(problem):
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_feasible_round_builds_no_full_matrix(problem, monkeypatch):
-    # Only a round whose step leaves K_t assembles the 2p x 2p iterate and
-    # its log, builds K_t and projects; no round builds L_t.
+    # Only a round whose step leaves K_t builds K_t, projects and assembles
+    # a 2p x 2p iterate: the pending one, once. No round assembles the log
+    # iterate or builds L_t.
     calls = dict.fromkeys(("full_iterate", "constraints_Kt", "project_qre",
                            "loss_matrix", "predict", "infeasible"), 0)
 
@@ -280,22 +301,37 @@ def test_feasible_round_builds_no_full_matrix(problem, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(omp, name, wrapper)
 
-    for name in ("full_iterate", "constraints_Kt", "project_qre", "loss_matrix", "predict"):
+    for name in ("constraints_Kt", "project_qre", "loss_matrix", "predict"):
         counted(name)
-    in_kt = omp.in_Kt
+    in_kt, exp_step, full_iterate = omp.in_Kt, omp.exp_step, omp.full_iterate
+    steps = []  # (pending, log_pending) of every step so far
 
     def decided(values, cfg):
         ok = in_kt(values, cfg)
         calls["infeasible"] += not ok
         return ok
+
+    def step(*args):
+        steps.append(exp_step(*args))
+        return steps[-1]
+
+    def assemble(Y, cfg):
+        # K_t's own D and E are assembled from fresh stacks; only the
+        # session's pending stack counts.
+        pending, log_pending = steps[-1]
+        assert Y is not log_pending
+        calls["full_iterate"] += Y is pending
+        return full_iterate(Y, cfg)
     monkeypatch.setattr(omp, "in_Kt", decided)
+    monkeypatch.setattr(omp, "exp_step", step)
+    monkeypatch.setattr(omp, "full_iterate", assemble)
 
     p = Params(n=5, T=200)
     entry = PROBLEMS[problem]
     run_learner(entry.config(p), entry.adversary(p, 1))
     k = calls["infeasible"]
     assert 0 < k < p.T
-    assert calls == dict(full_iterate=2 * k, constraints_Kt=k, project_qre=k,
+    assert calls == dict(full_iterate=k, constraints_Kt=k, project_qre=k,
                          loss_matrix=0, predict=k, infeasible=k)
 
 
