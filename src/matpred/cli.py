@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau0", type=float, default=None, help="trace-norm bound (cf)")
     run.add_argument("--G", type=float, default=1.0, help="Lipschitz bound (cf)")
     run.add_argument("--T", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0, help="first seed")
+    run.add_argument("--seed", type=int, default=1, help="first seed")
     run.add_argument("--seeds", type=_count, default=1, help="number of seeds")
     run.add_argument("--eta", type=float, default=None, help="learning rate override")
     run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--problem", required=True,
                     choices=[name for name, pr in PROBLEMS.items() if pr.lower_bound])
     lb.add_argument("--n", type=int, default=8)
-    lb.add_argument("--m", type=int, default=4)
+    lb.add_argument("--m", type=int, default=None)
     lb.add_argument("--tau0", type=float, default=4.0)
     lb.add_argument("--G", type=float, default=1.0)
     lb.add_argument("--T", type=int, default=4096)

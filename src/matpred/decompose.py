@@ -155,38 +155,27 @@ def singular_values_T(n: int) -> np.ndarray:
 def _triangular_pn(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Recursive (P, N) for the block-symmetrized triangular matrix T_{2^k}.
 
-    Base case: sym(T_1) = [[0,1],[1,0]] = ones(2,2) - I. Recursive case sums
-    a corner-ones split with a block-interleaved copy of the previous level.
-    Diagonals are bounded by k + 1.
+    Base case: sym(T_1) = [[0,1],[1,0]] = ones(2,2) - I. Level k is
+    P = kron(e e.T, J) + phi(P_{k-1}), N = kron(diag e, J) + phi(N_{k-1})
+    with e = (1,0,0,1), J the h x h ones matrix (h = 2^(k-1)) and phi
+    taking h x h quadrants [[A, B], [C, D]] to [[I2 x A, I2 x B], [I2 x C,
+    I2 x D]] (x the Kronecker product). Diagonals are bounded by k + 1.
     """
     if k == 0:
-        P = np.ones((2, 2))
-        N = np.eye(2)
+        P, N = np.ones((2, 2)), np.eye(2)
     else:
-        Pp, Np = _triangular_pn(k - 1)
         h = 2 ** (k - 1)
-        size = 4 * h
-        blocks = [slice(i * h, (i + 1) * h) for i in range(4)]
+        e = np.array([1.0, 0.0, 0.0, 1.0])
+        J = np.ones((h, h))
 
-        ones = np.ones((h, h))
-        P1 = np.zeros((size, size))
-        N1 = np.zeros((size, size))
-        for r, c in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-            P1[blocks[r], blocks[c]] = ones
-        N1[blocks[0], blocks[0]] = ones
-        N1[blocks[3], blocks[3]] = ones
+        def phi(M):
+            I2 = np.eye(2)
+            return np.block([[np.kron(I2, M[:h, :h]), np.kron(I2, M[:h, h:])],
+                             [np.kron(I2, M[h:, :h]), np.kron(I2, M[h:, h:])]])
 
-        def interleave(M):
-            A, B = M[:h, :h], M[:h, h:]
-            C, D = M[h:, :h], M[h:, h:]
-            Z = np.zeros((size, size))
-            for (r, c), blk in [((0, 0), A), ((0, 2), B), ((1, 1), A), ((1, 3), B),
-                                ((2, 0), C), ((2, 2), D), ((3, 1), C), ((3, 3), D)]:
-                Z[blocks[r], blocks[c]] = blk
-            return Z
-
-        P = P1 + interleave(Pp)
-        N = N1 + interleave(Np)
+        Pp, Np = _triangular_pn(k - 1)
+        P = np.kron(np.outer(e, e), J) + phi(Pp)
+        N = np.kron(np.diag(e), J) + phi(Np)
     P.setflags(write=False)
     N.setflags(write=False)
     return P, N
@@ -211,26 +200,28 @@ def perm_matrix(pi: Permutation) -> np.ndarray:
     return (vals[:, None] <= vals[None, :]).astype(float)
 
 
+def padded_size(n: int) -> tuple[int, int]:
+    """(n', k) with n' = 2^k the smallest power of two >= n >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = (n - 1).bit_length()
+    return 2 ** k, k
+
+
 def decompose_permutation(pi: Permutation) -> Decomposition:
     """Decomposition of sym(W_pi) by conjugating the triangular construction.
 
-    Pads n up to the next power of two n', takes the principal submatrix of
-    the triangular decomposition on the 2n indices of sym(T_n), and
-    conjugates by the block permutation diag(P_pi, P_pi). The guaranteed
-    bounds are beta = k + 1 and tau = 4 n' (k + 1) with n' = 2^k.
+    Pads n up to n' = 2^k, takes the principal submatrix of the triangular
+    decomposition on the 2n indices of sym(T_n) and conjugates it by
+    diag(P_pi, P_pi): rows and columns indexed by (pi - 1, n' + pi - 1).
+    The guaranteed bounds are beta = k + 1 and tau = 4 n' (k + 1).
     """
-    n = pi.n
-    k = max(0, int(np.ceil(np.log2(n))))
-    nprime = 2 ** k
+    nprime, k = padded_size(pi.n)
     base = decompose_triangular(k)
-    idx = np.concatenate([np.arange(n), nprime + np.arange(n)])
-    Psub = base.P[np.ix_(idx, idx)]
-    Nsub = base.N[np.ix_(idx, idx)]
-    Pm = pi.matrix()
-    Q = np.zeros((2 * n, 2 * n))
-    Q[:n, :n] = Pm
-    Q[n:, n:] = Pm
-    return Decomposition(P=Q @ Psub @ Q.T, N=Q @ Nsub @ Q.T, beta=base.beta, tau=base.tau)
+    vals = np.array(pi.mapping) - 1
+    idx = np.concatenate([vals, nprime + vals])
+    rows_cols = np.ix_(idx, idx)
+    return Decomposition(P=base.P[rows_cols], N=base.N[rows_cols], beta=base.beta, tau=base.tau)
 
 
 def hadamard(n: int) -> np.ndarray:

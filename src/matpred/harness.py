@@ -23,7 +23,8 @@ class Params:
     """Sizes and scales of one experiment.
 
     m defaults to n, and the trace-norm bound tau0 (read by CF alone)
-    defaults to m.
+    defaults to m. The configs of the n x n classes (max-cut, gambling)
+    reject any other m.
     """
 
     n: int
@@ -61,13 +62,20 @@ class Problem:
     lower_bound: LowerBound | None = None
 
 
+def _square(p: Params) -> int:
+    """n, for a class of n x n matrices; any other m is a ValueError."""
+    if p.m != p.n:
+        raise ValueError(f"m = {p.m} differs from n = {p.n}, but this class is n x n")
+    return p.n
+
+
 def _best_cut_loss(p: Params, seq: Sequence) -> float:
     return problems.best_cut_bruteforce(seq.rounds, seq.n)[1]
 
 
 PROBLEMS = {
     "maxcut": Problem(
-        config=lambda p: problems.maxcut_config(p.n, p.T, eta=p.eta),
+        config=lambda p: problems.maxcut_config(_square(p), p.T, eta=p.eta),
         adversary=lambda p, seed: adversaries.random_adversary("maxcut", p.m, p.n, p.T, seed),
         comparator=_best_cut_loss,
         lower_bound=LowerBound(
@@ -77,7 +85,7 @@ PROBLEMS = {
         ),
     ),
     "gambling": Problem(
-        config=lambda p: problems.gambling_config(p.n, p.T, eta=p.eta),
+        config=lambda p: problems.gambling_config(_square(p), p.T, eta=p.eta),
         adversary=lambda p, seed: adversaries.random_adversary("gambling", p.m, p.n, p.T, seed),
         comparator=lambda p, seq: problems.best_permutation_bruteforce(seq.rounds, seq.n)[1],
     ),

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition
 from .linalg import matrix_exp
 from .mmw import ConstraintSet, LinConstraint, project_qre, satisfied
 
@@ -292,16 +291,6 @@ def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
                          f"got {log_X.shape}")
     log_Y = log_X - _pair_term(i, j, cfg, off=cfg.eta * g)
     return matrix_exp(log_Y), log_Y
-
-
-def embed_phi(d: Decomposition) -> np.ndarray:
-    """Block-diagonal embedding diag(P, N) of a decomposition; the feasible
-    comparator point in the OLO problem."""
-    p = d.order
-    Phi = np.zeros((2 * p, 2 * p))
-    Phi[:p, :p] = d.P
-    Phi[p:, p:] = d.N
-    return Phi
 
 
 def _check_indices(i: int, j: int, cfg: OmpConfig):

@@ -3,8 +3,9 @@
 Three comparison classes are wired to the prediction engine here: graph
 cuts, permutations (gambling), and bounded-trace-norm matrices
 (collaborative filtering). Each gets a config constructor and an offline
-comparator used for regret measurement: exact brute force for cuts and
-permutations and, for the trace-norm class, a primal-dual solve that takes
+comparator used for regret measurement: for cuts and permutations, one
+exact enumeration that sums each queried pair's losses at the class's two
+entry values once; for the trace-norm class, a primal-dual solve that takes
 linear losses only and is certified optimal within the relative duality
 gap CF_GAP_TOL.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import CutSet, Permutation, cut_matrix
+from .decompose import CutSet, Permutation, cut_matrix, padded_size
 from .linalg import trace_norm
 from .omp import CLAMP_SLACK, OmpConfig
 
@@ -89,14 +90,9 @@ def maxcut_config(n: int, T: int, eta: float | None = None) -> OmpConfig:
                      G=0.5, T=T, prediction_range=(-1.0, 1.0), eta=eta)
 
 
-def gambling_padded_size(n: int) -> tuple[int, int]:
-    """(n', k) with n' = 2^k the smallest power of two >= n."""
-    k = max(0, int(math.ceil(math.log2(n))))
-    return 2 ** k, k
-
-
 def gambling_config(n: int, T: int, eta: float | None = None) -> OmpConfig:
-    """Permutations over n teams, run on the class padded to n' = 2^k teams.
+    """Permutations over n teams, run on the class padded to n' = 2^k teams
+    (decompose.padded_size).
 
     The padded class keeps the initial iterate feasible (tau / N = beta
     exactly) and carries the triangular decomposition's guaranteed bounds
@@ -104,7 +100,7 @@ def gambling_config(n: int, T: int, eta: float | None = None) -> OmpConfig:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    nprime, k = gambling_padded_size(n)
+    nprime, k = padded_size(n)
     return OmpConfig(m=nprime, n=nprime, symmetric_class=False,
                      beta=float(k + 1), tau=float(4 * nprime * (k + 1)),
                      G=1.0, T=T, prediction_range=(0.0, 1.0), eta=eta)
@@ -120,12 +116,21 @@ def cf_config(m: int, n: int, trace_bound: float, G: float, T: int,
                      G=G, T=T, prediction_range=(-1.0, 1.0), eta=eta)
 
 
-def _pair_losses(records) -> dict:
-    """Group loss functions by (i, j)."""
-    by_pair = {}
+def _first_least(records, n: int, on: float, off: float, count: int, selects) -> tuple[int, float]:
+    """Index and cumulative loss of the first of `count` n x n members of least
+    loss. Member m predicts `on` at (i, j) where selects(i, j)[m] holds and
+    `off` elsewhere, so each pair's losses are summed at the two values once."""
+    sums = {}
     for (i, j), lf in records:
-        by_pair.setdefault((i, j), []).append(lf)
-    return by_pair
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"entry ({i}, {j}) outside [1..{n}] x [1..{n}]")
+        at_on, at_off = sums.get((i, j), (0, 0))
+        sums[i, j] = (at_on + lf.value(on), at_off + lf.value(off))
+    total = np.zeros(count)
+    for (i, j), (at_on, at_off) in sums.items():
+        total += np.where(selects(i, j), at_on, at_off)
+    best = int(np.argmin(total))
+    return best, float(total[best])
 
 
 def best_cut_bruteforce(records, n: int) -> tuple[CutSet, float]:
@@ -136,19 +141,12 @@ def best_cut_bruteforce(records, n: int) -> tuple[CutSet, float]:
     """
     if n > 20:
         raise ValueError("brute force limited to n <= 20")
-    by_pair = _pair_losses(records)
-    pairs = list(by_pair)
-    best_mask, best_loss = 0, None
-    for mask in range(2 ** n):
-        total = 0.0
-        for (i, j) in pairs:
-            crosses = ((mask >> (i - 1)) ^ (mask >> (j - 1))) & 1
-            w = 1.0 if crosses else -1.0
-            total += sum(lf.value(w) for lf in by_pair[(i, j)])
-        if best_loss is None or total < best_loss - 1e-12:
-            best_mask, best_loss = mask, total
-    members = frozenset(i + 1 for i in range(n) if (best_mask >> i) & 1)
-    return CutSet(n=n, members=members), float(best_loss or 0.0)
+    masks = np.arange(2 ** n)
+    bits = [(masks >> i & 1).astype(bool) for i in range(n)]
+    mask, loss = _first_least(records, n, 1.0, -1.0, 2 ** n,
+                              lambda i, j: bits[i - 1] ^ bits[j - 1])
+    members = frozenset(i + 1 for i in range(n) if (mask >> i) & 1)
+    return CutSet(n=n, members=members), loss
 
 
 def maxcut_weights(records, n: int) -> np.ndarray:
@@ -177,17 +175,10 @@ def best_permutation_bruteforce(records, n: int) -> tuple[Permutation, float]:
     W_pi entries. Ties break toward the lexicographically smallest mapping."""
     if n > 8:
         raise ValueError("brute force limited to n <= 8")
-    by_pair = _pair_losses(records)
-    pairs = list(by_pair)
-    best_map, best_loss = None, None
-    for perm in itertools.permutations(range(1, n + 1)):
-        total = 0.0
-        for (i, j) in pairs:
-            w = 1.0 if perm[i - 1] <= perm[j - 1] else 0.0
-            total += sum(lf.value(w) for lf in by_pair[(i, j)])
-        if best_loss is None or total < best_loss - 1e-12:
-            best_map, best_loss = perm, total
-    return Permutation(n=n, mapping=best_map), float(best_loss)
+    ranks = np.array(list(itertools.permutations(range(1, n + 1))))
+    best, loss = _first_least(records, n, 1.0, 0.0, len(ranks),
+                              lambda i, j: ranks[:, i - 1] <= ranks[:, j - 1])
+    return Permutation(n=n, mapping=tuple(ranks[best].tolist())), loss
 
 
 def _cap_trace_norm(W: np.ndarray, tau0: float) -> np.ndarray:

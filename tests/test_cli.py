@@ -369,6 +369,15 @@ class TestExitCodes:
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "inf"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "nan"),
         ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "nan"),
+        ("run", "--problem", "gambling", "--n", "5", "--m", "7", "--T", "2",
+         "--adversary", "file", "--sequence-file", Rows(["1,7,2,absolute,1"])),
+        ("run", "--problem", "gambling", "--n", "5", "--m", "7", "--T", "2", "--no-comparator",
+         "--adversary", "file", "--sequence-file", Rows(["1,7,2,absolute,1"])),
+        ("run", "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "2",
+         "--adversary", "file", "--sequence-file", Rows(["1,7,2,absolute_halved,1"])),
+        ("run", "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "2"),
+        ("run", "--problem", "gambling", "--n", "5", "--m", "7", "--T", "2"),
+        ("lowerbound", "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "16"),
     ])
     def test_usage_error(self, argv, tmp_path):
         for k, arg in enumerate(argv):

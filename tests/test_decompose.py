@@ -173,6 +173,20 @@ class TestPermutations:
         P = pi.matrix()
         assert np.array_equal(perm_matrix(pi), P @ triangular(n) @ P.T)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 10_000))
+    def test_is_conjugated_triangular_submatrix(self, n, seed):
+        # Q P_sub Q.T with Q = diag(P_pi, P_pi) and P_sub the principal
+        # submatrix of the padded triangular (P, N) on sym(T_n)'s indices
+        pi = random_permutation(np.random.default_rng(seed), n)
+        k = int(np.ceil(np.log2(n)))
+        base = decompose_triangular(k)
+        idx = np.concatenate([np.arange(n), 2 ** k + np.arange(n)])
+        Q = np.kron(np.eye(2), pi.matrix())
+        d = decompose_permutation(pi)
+        assert np.array_equal(d.P, Q @ base.P[np.ix_(idx, idx)] @ Q.T)
+        assert np.array_equal(d.N, Q @ base.N[np.ix_(idx, idx)] @ Q.T)
+
     def test_identity_power_of_two_matches_triangular(self):
         pi = Permutation(4, (1, 2, 3, 4))
         d = decompose_permutation(pi)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpred.decompose import CutSet, cut_matrix, decompose_cut
+from matpred.decompose import CutSet, Decomposition, cut_matrix, decompose_cut
 from matpred.harness import PROBLEMS, Params, run_learner
 from matpred.linalg import inner, matrix_exp, matrix_log
 from matpred.mmw import project_qre
@@ -15,7 +15,6 @@ from matpred.omp import (
     OmpConfig,
     block_values,
     constraints_Kt,
-    embed_phi,
     eta_default,
     exp_step,
     full_iterate,
@@ -156,6 +155,16 @@ class TestConstraints:
         s = new_session(cfg)
         for c in constraints_Kt(1, 3, cfg).constraints:
             assert inner(c.A, full_iterate(s.pending, cfg)) <= c.b + 1e-12
+
+
+def embed_phi(d: Decomposition) -> np.ndarray:
+    """Block-diagonal embedding diag(P, N) of a decomposition; the feasible
+    comparator point in the OLO problem."""
+    p = d.order
+    Phi = np.zeros((2 * p, 2 * p))
+    Phi[:p, :p] = d.P
+    Phi[p:, p:] = d.N
+    return Phi
 
 
 class TestEmbedPhi:

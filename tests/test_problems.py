@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpred.decompose import CutSet, Permutation, cut_matrix, perm_matrix
+from matpred.decompose import CutSet, Permutation, cut_matrix, padded_size, perm_matrix
 from matpred.linalg import trace_norm
 from matpred.omp import CLAMP_SLACK
 from matpred.problems import (
@@ -19,7 +19,6 @@ from matpred.problems import (
     cut_weight,
     evaluate_run,
     gambling_config,
-    gambling_padded_size,
     maxcut_config,
     maxcut_weights,
 )
@@ -83,9 +82,12 @@ class TestConfigs:
             maxcut_config(n=1, T=10)
 
     def test_gambling_padding(self):
-        assert gambling_padded_size(5) == (8, 3)
-        assert gambling_padded_size(8) == (8, 3)
-        assert gambling_padded_size(2) == (2, 1)
+        assert padded_size(5) == (8, 3)
+        assert padded_size(8) == (8, 3)
+        assert padded_size(2) == (2, 1)
+        assert padded_size(1) == (1, 0)
+        with pytest.raises(ValueError):
+            padded_size(0)
 
     def test_gambling(self):
         cfg = gambling_config(n=5, T=100)
@@ -115,13 +117,18 @@ class TestBestCut:
         c, _ = best_cut_bruteforce([], 3)
         assert c.members == frozenset()
 
-    def test_matches_exhaustive_recount(self):
+    @pytest.mark.parametrize("kind, label", [
+        ("absolute_halved", lambda rng: float(rng.choice([-1, 1]))),
+        ("absolute", lambda rng: float(rng.uniform(-1, 1))),
+        ("linear", lambda rng: float(rng.uniform(-1, 1))),
+    ], ids=["integer", "absolute", "linear"])
+    def test_matches_exhaustive_recount(self, kind, label):
         rng = np.random.default_rng(0)
         n = 4
         records = []
         for _ in range(30):
             i, j = sorted(rng.choice(n, size=2, replace=False) + 1)
-            records.append(((int(i), int(j)), LossFn("absolute_halved", float(rng.choice([-1, 1])))))
+            records.append(((int(i), int(j)), LossFn(kind, label(rng))))
         c, loss = best_cut_bruteforce(records, n)
         assert comparator_matrix_value(records, cut_matrix(c)) == pytest.approx(loss)
         # no cut does better (independent recount through the matrix route)
@@ -160,19 +167,35 @@ class TestBestPermutation:
         pi, _ = best_permutation_bruteforce([], 3)
         assert pi.mapping == (1, 2, 3)
 
-    def test_matches_exhaustive_recount(self):
+    @pytest.mark.parametrize("kind, label, diagonal", [
+        ("absolute", lambda rng: float(rng.integers(0, 2)), False),
+        ("absolute", lambda rng: float(rng.uniform(0, 1)), False),
+        ("linear", lambda rng: float(rng.uniform(-1, 1)), False),
+        ("absolute", lambda rng: float(rng.uniform(0, 1)), True),
+    ], ids=["integer", "absolute", "linear", "diagonal"])
+    def test_matches_exhaustive_recount(self, kind, label, diagonal):
         import itertools
         rng = np.random.default_rng(2)
         n = 4
         records = []
         for _ in range(25):
             i, j = rng.choice(n, size=2, replace=False) + 1
-            records.append(((int(i), int(j)), LossFn("absolute", float(rng.integers(0, 2)))))
+            records.append(((int(i), int(j)), LossFn(kind, label(rng))))
+        if diagonal:
+            # W_pi is 1 on its diagonal, whatever pi is
+            records += [((k, k), LossFn(kind, label(rng))) for k in range(1, n + 1)]
         pi, loss = best_permutation_bruteforce(records, n)
         assert comparator_matrix_value(records, perm_matrix(pi)) == pytest.approx(loss)
         for mapping in itertools.permutations(range(1, n + 1)):
             other = Permutation(n, mapping)
             assert comparator_matrix_value(records, perm_matrix(other)) >= loss - 1e-12
+
+
+@pytest.mark.parametrize("brute_force", [best_cut_bruteforce, best_permutation_bruteforce])
+@pytest.mark.parametrize("pair", [(0, 2), (1, 4)])
+def test_bruteforce_rejects_entry_outside_class(brute_force, pair):
+    with pytest.raises(IndexError, match="outside"):
+        brute_force([(pair, LossFn("absolute", 1.0))], 3)
 
 
 class TestBestCf:
