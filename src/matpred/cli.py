@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 invariant/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from functools import partial
 
@@ -28,21 +30,24 @@ from .problems import LossFn
 # file formats
 
 def read_matrix(path: str) -> np.ndarray:
-    """Plain-text matrix: first line 'm n', then m rows of n decimals."""
-    with open(path) as f:
-        m, n = map(int, f.readline().split())
-        rows = [list(map(float, f.readline().split())) for _ in range(m)]
-    W = np.array(rows)
+    """Plain-text matrix: first line 'm n', then exactly m rows of n decimals.
+
+    A malformed header or row, or any other number of rows or columns,
+    raises ValueError naming the file."""
+    with open(path) as f, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # no rows fails the shape check
+        try:
+            m, n = map(int, f.readline().split())
+            W = np.loadtxt(f, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if W.shape != (m, n):
         raise ValueError(f"{path}: expected {m}x{n} matrix, got {W.shape}")
     return W
 
 
 def write_matrix(path: str, W: np.ndarray):
-    with open(path, "w") as f:
-        f.write(f"{W.shape[0]} {W.shape[1]}\n")
-        for row in W:
-            f.write(" ".join(f"{v:.12g}" for v in row) + "\n")
+    np.savetxt(path, W, fmt="%.12g", header=f"{W.shape[0]} {W.shape[1]}", comments="")
 
 
 def read_sequence(path: str, m: int, n: int, T: int) -> Sequence:
@@ -130,11 +135,10 @@ def _read(args, flag: str, reader, *extra):
     if path is None:
         args.parser.error(f"--{flag.replace('_', '-')} is required here")
     try:
-        return reader(path, *extra)
+        with _usage(args):
+            return reader(path, *extra)
     except OSError as exc:
         args.parser.error(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:
-        args.parser.error(str(exc))
 
 
 def _writable(args, *paths: str):
@@ -163,15 +167,21 @@ def _sequences(args, p: Params):
     return partial(PROBLEMS[args.problem].adversary, p)
 
 
-def _play(args, cfg: OmpConfig, sequence, comparator, seed: int, trace_path=None) -> float | None:
-    """Run the learner on one seed's sequence and print its line; returns
-    the realized regret, or None without a comparator. The sequence and
-    its comparator loss come first, so a ValueError from either is a usage
-    error raised before any round is played."""
-    start = time.perf_counter()
-    with _usage(args):
-        seq = sequence(seed)
-        comp = None if comparator is None else comparator(seq)
+def _games(args, sequence, comparator):
+    """Each seed with its sequence, its comparator loss (None without a
+    comparator) and the time its inputs were started. A ValueError from
+    either input is a usage error, raised before that seed's rounds."""
+    for seed in range(args.seed, args.seed + args.seeds):
+        start = time.perf_counter()
+        with _usage(args):
+            seq = sequence(seed)
+            comp = None if comparator is None else comparator(seq)
+        yield seed, seq, comp, start
+
+
+def _play(cfg: OmpConfig, seed: int, seq, comp, start: float, trace_path=None) -> float | None:
+    """Run the learner on one seed's inputs from _games and print its line;
+    returns the realized regret, or None without a comparator."""
     session, total = run_learner(cfg, seq, trace_path=trace_path)
     line = f"seed {seed:<4d} cumulative loss {total:.6f}"
     regret = None
@@ -192,13 +202,14 @@ def cmd_run(args) -> int:
     sequence = _sequences(args, p)
     if args.out:
         _writable(args, args.out)
+    games = _games(args, sequence, comparator)
+    first = next(games)   # a usage error in the first seed's inputs comes before any output
     bound = cfg.regret_bound()
     print(f"problem          {args.problem}")
     print(f"rounds           {p.T}")
     print(f"eta              {cfg.eta:.6g}")
     print(f"theoretical bound {bound:.6f}")
-    regrets = [_play(args, cfg, sequence, comparator, s, args.out)
-               for s in range(args.seed, args.seed + args.seeds)]
+    regrets = [_play(cfg, *game, args.out) for game in itertools.chain([first], games)]
     if comparator is None:
         return 0
     worst = max(regrets)
@@ -233,8 +244,8 @@ def cmd_decompose(args) -> int:
     report = decompose.validate(d, W)
     print(f"beta             {d.beta:.6g}")
     print(f"tau (guaranteed) {d.tau:.6g}")
-    print(f"tau (realized)   {report.realized_trace:.6g}")
-    for name, val in report.residuals().items():
+    print(f"tau (realized)   {d.realized_trace():.6g}")
+    for name, val in report.residuals.items():
         print(f"residual {name:<15} {val:.3e}")
     print(f"valid            {report.passed}")
     if args.dump:
@@ -248,8 +259,8 @@ def cmd_lowerbound(args) -> int:
     p = _params(args)
     with _usage(args):
         cfg = PROBLEMS[args.problem].config(p)
-    regrets = np.array([_play(args, cfg, partial(lb.adversary, p), partial(lb.comparator, p), s)
-                        for s in range(args.seed, args.seed + args.seeds)])
+    games = _games(args, partial(lb.adversary, p), partial(lb.comparator, p))
+    regrets = np.array([_play(cfg, *game) for game in games])
     print(f"seeds            {args.seeds}")
     print(f"mean regret      {regrets.mean():.4f}")
     if args.seeds > 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym, sym_average, sym_block, symmetrize
+from .linalg import DomainError, eig_sym, sym_average, sym_block, symmetrize
 
 
 @dataclass(frozen=True)
@@ -81,24 +81,10 @@ class Permutation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    symmetry_violation: float
-    psd_violation_p: float
-    psd_violation_n: float
-    diag_excess: float
-    trace_excess: float
-    reconstruction_residual: float
-    realized_trace: float
-    passed: bool
+    """Each residual of validate by name, and whether all are within tol."""
 
-    def residuals(self) -> dict:
-        return {
-            "symmetry": self.symmetry_violation,
-            "psd_p": self.psd_violation_p,
-            "psd_n": self.psd_violation_n,
-            "diag_excess": self.diag_excess,
-            "trace_excess": self.trace_excess,
-            "reconstruction": self.reconstruction_residual,
-        }
+    residuals: dict
+    passed: bool
 
 
 def cut_matrix(c: CutSet) -> np.ndarray:
@@ -234,48 +220,31 @@ def hadamard(n: int) -> np.ndarray:
     return H
 
 
-def _target_sym(d: Decomposition, W: np.ndarray) -> np.ndarray:
-    """Resolve the symmetric matrix the decomposition should reconstruct.
-
-    Uses symmetrize(W) when its order matches; falls back to the block
-    embedding for square symmetric W that was nevertheless decomposed in
-    embedded form (e.g. the 1 x 1 triangular matrix).
-    """
-    W = np.asarray(W, dtype=float)
-    S = symmetrize(W)
-    if S.shape[0] == d.order:
-        return S
-    if sum(W.shape) == d.order:
-        return sym_block(W)
-    raise ValueError(f"validate: decomposition order {d.order} does not match matrix shape {W.shape}")
-
-
 def validate(d: Decomposition, W: np.ndarray, tol: float = 1e-8) -> ValidationReport:
     """Check all conditions of a (beta, tau)-decomposition against sym(W).
 
-    PSD violations are scaled by max(1, ||.||_inf) so the report is
-    comparable across magnitudes; the report passes iff every residual is
-    at most tol.
+    sym(W) is W itself when W has the decomposition's order and the block
+    embedding [[0, W], [W.T, 0]] otherwise. PSD violations are scaled by
+    max(1, ||.||_inf) so the report is comparable across magnitudes; the
+    report passes iff every residual is at most tol.
     """
-    S = _target_sym(d, W)
-    sym_viol = max(float(np.max(np.abs(d.P - d.P.T))), float(np.max(np.abs(d.N - d.N.T))))
+    W = np.asarray(W, dtype=float)
+    if not np.all(np.isfinite(W)):
+        raise DomainError("validate: non-finite entries")
+    S = W if W.shape == (d.order, d.order) else sym_block(W)
+    if S.shape != (d.order, d.order):
+        raise ValueError(f"validate: decomposition order {d.order} does not match matrix shape {W.shape}")
 
     def psd_violation(M):
         scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
         return max(0.0, -float(np.min(np.linalg.eigvalsh(sym_average(M))))) / scale
 
-    diag_excess = max(0.0, float(max(np.max(np.diag(d.P)), np.max(np.diag(d.N))) - d.beta))
-    trace_excess = max(0.0, d.realized_trace() - d.tau)
-    recon = float(np.max(np.abs(d.P - d.N - S)))
-    vp, vn = psd_violation(d.P), psd_violation(d.N)
-    passed = all(v <= tol for v in (sym_viol, vp, vn, diag_excess, trace_excess, recon))
-    return ValidationReport(
-        symmetry_violation=sym_viol,
-        psd_violation_p=vp,
-        psd_violation_n=vn,
-        diag_excess=diag_excess,
-        trace_excess=trace_excess,
-        reconstruction_residual=recon,
-        realized_trace=d.realized_trace(),
-        passed=passed,
-    )
+    residuals = {
+        "symmetry": max(float(np.max(np.abs(d.P - d.P.T))), float(np.max(np.abs(d.N - d.N.T)))),
+        "psd_p": psd_violation(d.P),
+        "psd_n": psd_violation(d.N),
+        "diag_excess": max(0.0, float(max(np.max(np.diag(d.P)), np.max(np.diag(d.N))) - d.beta)),
+        "trace_excess": max(0.0, d.realized_trace() - d.tau),
+        "reconstruction": float(np.max(np.abs(d.P - d.N - S))),
+    }
+    return ValidationReport(residuals, all(v <= tol for v in residuals.values()))

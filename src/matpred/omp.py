@@ -67,6 +67,8 @@ class OmpConfig:
             raise ValueError(f"m, n and T must be >= 1, got m={self.m}, n={self.n}, T={self.T}")
         if not all(math.isfinite(v) and v > 0 for v in (self.G, self.tau)):
             raise ValueError(f"G and tau must be > 0 and finite, got G={self.G}, tau={self.tau}")
+        if not math.isfinite(self.beta * 4 * self.G * self.G * self.T):
+            raise ValueError(f"G={self.G} is too large: beta * 4 G^2 * T must be finite")
         if self.beta < 1.0:
             raise ValueError("beta must be >= 1")
         if self.symmetric_class and self.m != self.n:

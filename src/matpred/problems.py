@@ -189,7 +189,9 @@ def _cap_trace_norm(W: np.ndarray, tau0: float) -> np.ndarray:
     # Euclidean projection of the spectrum onto the simplex-scaled l1 ball.
     u = np.sort(s)[::-1]
     css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(u) + 1) > (css - tau0))[0][-1]
+    # Index 0 passes in exact arithmetic but fails once u[0] - tau0 rounds to u[0].
+    passing = np.flatnonzero(u * np.arange(1, len(u) + 1) > (css - tau0))
+    rho = passing[-1] if passing.size else 0
     theta = (css[rho] - tau0) / (rho + 1.0)
     s = np.maximum(s - theta, 0.0)
     return (U * s) @ Vt

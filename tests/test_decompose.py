@@ -218,7 +218,39 @@ class TestValidate:
         bad = Decomposition(P=d.P, N=-d.N, beta=d.beta, tau=d.tau)
         report = validate(bad, cut_matrix(c))
         assert not report.passed
-        assert report.reconstruction_residual > 1e-3
+        assert report.residuals["reconstruction"] > 1e-3
+
+    # validate reconstructs W itself when W has the decomposition's order and
+    # its block embedding [[0, W], [W.T, 0]] otherwise.
+    @pytest.mark.parametrize("d, W", [
+        (decompose_cut(CutSet(4, frozenset({1, 3}))), cut_matrix(CutSet(4, frozenset({1, 3})))),
+        (decompose_trace_norm(np.array([[0.5, -0.25], [-0.25, 1.0]])),
+         np.array([[0.5, -0.25], [-0.25, 1.0]])),
+    ], ids=["cut", "tracenorm"])
+    def test_own_order_reconstructs_w(self, d, W):
+        assert d.order == W.shape[0]
+        self._assert_reconstructs(d, W)
+
+    @pytest.mark.parametrize("d, W", [
+        (decompose_triangular(0), triangular(1)),
+        (decompose_permutation(Permutation(1, (1,))), perm_matrix(Permutation(1, (1,)))),
+    ], ids=["triangular", "permutation"])
+    def test_twice_the_order_reconstructs_the_embedding(self, d, W):
+        assert np.array_equal(W, W.T) and d.order == 2 * W.shape[0]
+        self._assert_reconstructs(d, W)
+
+    @staticmethod
+    def _assert_reconstructs(d, W):
+        report = validate(d, W)
+        assert report.passed
+        assert set(report.residuals) == {"symmetry", "psd_p", "psd_n", "diag_excess",
+                                         "trace_excess", "reconstruction"}
+        assert report.residuals["reconstruction"] <= 1e-12
+
+    def test_non_finite_rejected(self):
+        d = decompose_cut(CutSet(2, frozenset()))
+        with pytest.raises(ValueError):
+            validate(d, np.array([[np.nan, 1.0], [1.0, 0.0]]))
 
     def test_dimension_mismatch(self):
         d = decompose_cut(CutSet(3, frozenset()))

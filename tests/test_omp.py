@@ -65,7 +65,7 @@ class TestOmpConfig:
                     dict(m=0), dict(n=0), dict(T=0),
                     dict(G=0.0, eta=0.1), dict(tau=0.0, eta=0.1), dict(T=0, eta=0.1),
                     dict(G=math.inf), dict(G=math.nan), dict(tau=math.inf), dict(tau=math.nan),
-                    dict(eta=math.inf), dict(eta=math.nan), dict(eta=-math.inf)):
+                    dict(eta=math.inf), dict(eta=math.nan), dict(eta=-math.inf), dict(G=1e200)):
             with pytest.raises(ValueError):
                 OmpConfig(**{**nonsym, **bad})
 

@@ -253,7 +253,8 @@ class TestBestCf:
         assert loss >= optimum - 1e-9 * (1.0 + abs(optimum))   # W is a member of the class
         assert loss <= optimum + CF_GAP_TOL * (1.0 + abs(optimum))
 
-    @pytest.mark.parametrize("m, n, tau0, seed", [(4, 4, 1.0, 5), (5, 3, 0.5, 6), (8, 8, 0.2, 7)])
+    @pytest.mark.parametrize("m, n, tau0, seed", [(4, 4, 1.0, 5), (5, 3, 0.5, 6), (8, 8, 0.2, 7),
+                                                  (4, 4, 1e-16, 5), (4, 4, 1e-20, 5)])
     def test_small_ball_optimum_is_top_singular_value(self, m, n, tau0, seed):
         # For tau0 <= 1 the rank-one minimizer -tau0 u v^T has entries of at
         # most tau0, so the box is inactive: the optimum is -tau0 sigma_max(C).
