@@ -106,8 +106,10 @@ def decompose_trace_norm(W: np.ndarray) -> Decomposition:
     """Eigen-split decomposition of a matrix with entries in [-1, 1].
 
     P collects the nonnegative spectral part of sym(W) and N the negated
-    negative part, giving beta = sqrt(p) and tau = Tr(P) + Tr(N)
-    = 2 * trace_norm(W) exactly.
+    negative part, giving beta = sqrt(p) and tau = Tr(P) + Tr(N) =
+    trace_norm(sym(W)). That is 2 * trace_norm(W) when sym(W) is the block
+    embedding, and trace_norm(W) for an exactly symmetric square W, which
+    `symmetrize` leaves at its own order.
     """
     W = np.asarray(W, dtype=float)
     if np.max(np.abs(W)) > 1.0 + 1e-12:

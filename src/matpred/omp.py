@@ -17,8 +17,9 @@ non-symmetric class, k = 2 on a symmetric one. A round whose step already
 lies in K_t reads D.Y, E.Y and Tr Y from five block entries and the trace,
 predicts from the same entries, and builds no 2p x 2p matrix; only a round
 that must project assembles the pending iterate (`full_iterate`) for
-`project_qre`. L_t, K_t's D and E, the step and the dual fold are all
-written on the blocks by `_pair_term`, so the log iterate is never assembled.
+`project_qre`. L_t, K_t's four constraints (the rows of `_KT`), the step
+and the dual fold are all written on the blocks by `_pair_term`, so the log
+iterate is never assembled.
 
 Entry indices on the API surface are 1-based, matching the row/column
 numbering of the predicted matrix.
@@ -67,8 +68,8 @@ class OmpConfig:
             raise ValueError(f"m, n and T must be >= 1, got m={self.m}, n={self.n}, T={self.T}")
         if not all(math.isfinite(v) and v > 0 for v in (self.G, self.tau)):
             raise ValueError(f"G and tau must be > 0 and finite, got G={self.G}, tau={self.tau}")
-        if not math.isfinite(self.beta * 4 * self.G * self.G * self.T):
-            raise ValueError(f"G={self.G} is too large: beta * 4 G^2 * T must be finite")
+        if not 0 < self.beta * 4 * self.G * self.G * self.T < math.inf:
+            raise ValueError(f"G={self.G} out of range: beta * 4 G^2 * T must be > 0 and finite")
         if self.beta < 1.0:
             raise ValueError("beta must be >= 1")
         if self.symmetric_class and self.m != self.n:
@@ -80,7 +81,7 @@ class OmpConfig:
             )
         if self.eta is None:
             object.__setattr__(self, "eta", eta_default(self.tau, self.p, self.beta, self.G, self.T))
-        elif not (math.isfinite(self.eta) and self.eta > 0):
+        if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be > 0 and finite, got eta={self.eta}")
 
     @property
@@ -165,9 +166,9 @@ def predict(X: np.ndarray, i: int, j: int, cfg: OmpConfig) -> float:
     return float(X[a, b] - X[cfg.p + a, cfg.p + b])
 
 
-def block_values(Y: np.ndarray, i: int, j: int, cfg: OmpConfig) -> tuple[float, float, float]:
-    """D . X, E . X and Tr X of the iterate X whose block stack is Y: the
-    left-hand sides of K_t (see constraints_Kt), read from five block
+def block_values(Y: np.ndarray, i: int, j: int, cfg: OmpConfig) -> tuple[float, ...]:
+    """D . X, E . X, -E . X and Tr X of the iterate X whose block stack is Y:
+    the left-hand sides of K_t (see constraints_Kt), read from five block
     entries and the trace. E . X is also the prediction read from X."""
     a, b = _pair(i, j, cfg)
     upper, lower = Y[0], Y[-1]
@@ -178,15 +179,13 @@ def block_values(Y: np.ndarray, i: int, j: int, cfg: OmpConfig) -> tuple[float, 
     trace = np.trace(Y, axis1=1, axis2=2).sum()
     if not cfg.symmetric_class:
         trace *= 2.0
-    return float(diag), float(upper[a, b] - sign * lower[a, b]), float(trace)
+    e = float(upper[a, b] - sign * lower[a, b])
+    return float(diag), e, -e, float(trace)
 
 
-def in_Kt(values: tuple[float, float, float], cfg: OmpConfig) -> bool:
+def in_Kt(values: tuple[float, ...], cfg: OmpConfig) -> bool:
     """Whether `block_values` lie in K_t, within the projection's tolerance."""
-    diag, e, trace = values
-    b_diag, b_hi, b_lo, b_trace = _bounds(cfg)
-    return (satisfied(diag, b_diag) and satisfied(e, b_hi) and satisfied(-e, b_lo)
-            and satisfied(trace, b_trace))
+    return all(map(satisfied, values, _bounds(cfg)))
 
 
 def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
@@ -200,25 +199,14 @@ def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
 def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
     """The four-constraint polytope for the queried entry: diagonal sum
     D . X <= 4 beta, prediction E . X within range, trace <= tau."""
-    N = 2 * cfg.p
-    b_diag, b_hi, b_lo, b_trace = _bounds(cfg)
-    D = full_iterate(_pair_term(i, j, cfg, diag=1.0), cfg)
-    E = full_iterate(_pair_term(i, j, cfg, off=0.5), cfg)
-    return ConstraintSet(
-        constraints=(
-            LinConstraint(A=D, b=b_diag),
-            LinConstraint(A=E, b=b_hi),
-            LinConstraint(A=-E, b=b_lo),
-            LinConstraint(A=np.eye(N), b=b_trace),
-        ),
-        order=N,
-        tau=cfg.tau,
-    )
+    constraints = [LinConstraint(A=full_iterate(_pair_term(i, j, cfg, *row), cfg), b=b)
+                   for row, b in zip(_KT, _bounds(cfg))]
+    return ConstraintSet(constraints=tuple(constraints), order=2 * cfg.p, tau=cfg.tau)
 
 
 def _pair_term(i: int, j: int, cfg: OmpConfig, diag: float = 0.0, off: float = 0.0,
                trace: float = 0.0) -> np.ndarray:
-    """The block stack of diag D + 2 off E + trace I (K_t's D and E): diag on
+    """The block stack of diag D + 2 off E + trace I (K_t's D, E and I): diag on
     the pair's two diagonal entries of each block, +off on its mirrored
     entries in the upper block and -off in the lower one, trace on every
     diagonal entry. A diagonal pair (a == b) gets each part once."""
@@ -231,6 +219,11 @@ def _pair_term(i: int, j: int, cfg: OmpConfig, diag: float = 0.0, off: float = 0
         term[k, a, b] += sign * off
         term[k, b, a] = term[k, a, b]
     return term
+
+
+# K_t's constraints D, E, -E and I as `_pair_term` coefficients
+# (diag, off, trace), in the order of `_bounds`.
+_KT = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _bounds(cfg: OmpConfig) -> tuple[float, float, float, float]:
@@ -259,9 +252,7 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     else:
         X, duals = project_qre(full_iterate(session.pending, cfg), constraints_Kt(i, j, cfg))
         yhat = predict(X, i, j, cfg)
-        a_D, a_E, a_negE, a_I = duals
-        log_X = session.log_pending - _pair_term(i, j, cfg, diag=a_D, off=0.5 * (a_E - a_negE),
-                                                 trace=a_I)
+        log_X = session.log_pending - _pair_term(i, j, cfg, *(duals @ _KT))
     lo, hi = cfg.prediction_range
     if yhat < lo - CLAMP_SLACK or yhat > hi + CLAMP_SLACK:
         raise InvariantViolation(f"prediction {yhat} outside range [{lo}, {hi}]")

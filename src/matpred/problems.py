@@ -26,6 +26,9 @@ from .omp import CLAMP_SLACK, OmpConfig
 CF_GAP_TOL = 1e-5
 CF_MAX_ITERS = 10000
 
+# Slope of each absolute loss kind: slope * |yhat - label|.
+_ABSOLUTE_SLOPE = {"absolute_halved": 0.5, "absolute": 1.0}
+
 
 @dataclass(frozen=True)
 class LossFn:
@@ -44,32 +47,26 @@ class LossFn:
     param: float
 
     def __post_init__(self):
-        if self.kind not in ("absolute_halved", "absolute", "linear"):
+        if self.kind not in (*_ABSOLUTE_SLOPE, "linear"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if not math.isfinite(self.param):
             raise ValueError(f"loss param must be finite, got {self.param}")
 
     def value(self, yhat: float) -> float:
-        if self.kind == "absolute_halved":
-            return 0.5 * abs(yhat - self.param)
-        if self.kind == "absolute":
-            return abs(yhat - self.param)
-        return self.param * yhat
+        if self.kind == "linear":
+            return self.param * yhat
+        return _ABSOLUTE_SLOPE[self.kind] * abs(yhat - self.param)
 
     def subgradient(self, yhat: float) -> float:
-        if self.kind in ("absolute_halved", "absolute"):
-            d = yhat - self.param
-            sign = 0.0 if abs(d) <= CLAMP_SLACK else float(np.sign(d))
-            return 0.5 * sign if self.kind == "absolute_halved" else sign
-        return self.param
+        if self.kind == "linear":
+            return self.param
+        d = yhat - self.param
+        sign = 0.0 if abs(d) <= CLAMP_SLACK else float(np.sign(d))
+        return _ABSOLUTE_SLOPE[self.kind] * sign
 
     @property
     def lipschitz(self) -> float:
-        if self.kind == "absolute_halved":
-            return 0.5
-        if self.kind == "absolute":
-            return 1.0
-        return abs(self.param)
+        return abs(self.param) if self.kind == "linear" else _ABSOLUTE_SLOPE[self.kind]
 
 
 @dataclass(frozen=True)
@@ -116,14 +113,21 @@ def cf_config(m: int, n: int, trace_bound: float, G: float, T: int,
                      G=G, T=T, prediction_range=(-1.0, 1.0), eta=eta)
 
 
+def _check_entry(i: int, j: int, m: int, n: int) -> tuple[int, int]:
+    """The 0-based index (i - 1, j - 1) of entry (i, j) of an m x n matrix;
+    an entry outside [1..m] x [1..n] is an IndexError."""
+    if not (1 <= i <= m and 1 <= j <= n):
+        raise IndexError(f"entry ({i}, {j}) outside [1..{m}] x [1..{n}]")
+    return i - 1, j - 1
+
+
 def _first_least(records, n: int, on: float, off: float, count: int, selects) -> tuple[int, float]:
     """Index and cumulative loss of the first of `count` n x n members of least
     loss. Member m predicts `on` at (i, j) where selects(i, j)[m] holds and
     `off` elsewhere, so each pair's losses are summed at the two values once."""
     sums = {}
     for (i, j), lf in records:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexError(f"entry ({i}, {j}) outside [1..{n}] x [1..{n}]")
+        _check_entry(i, j, n, n)
         at_on, at_off = sums.get((i, j), (0, 0))
         sums[i, j] = (at_on + lf.value(on), at_off + lf.value(off))
     total = np.zeros(count)
@@ -159,8 +163,9 @@ def maxcut_weights(records, n: int) -> np.ndarray:
     for (i, j), lf in records:
         if lf.kind != "absolute_halved":
             raise ValueError("max-cut weights need absolute-halved losses")
-        w[i - 1, j - 1] += lf.param
-        w[j - 1, i - 1] += lf.param
+        a, b = _check_entry(i, j, n, n)
+        w[a, b] += lf.param
+        w[b, a] += lf.param
     return w
 
 
@@ -215,7 +220,7 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarra
     for (i, j), lf in records:
         if lf.kind != "linear":
             raise ValueError(f"the CF comparator takes linear losses only, got {lf.kind!r}")
-        C[i - 1, j - 1] += lf.param
+        C[_check_entry(i, j, m, n)] += lf.param
     scale = np.abs(C).max()
     if scale == 0.0:
         return np.zeros((m, n)), 0.0
@@ -237,7 +242,7 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarra
 
 def comparator_matrix_value(records, W: np.ndarray) -> float:
     """Cumulative loss of the fixed matrix W on a record sequence."""
-    return sum(lf.value(W[i - 1, j - 1]) for (i, j), lf in records)
+    return sum(lf.value(W[_check_entry(i, j, *W.shape)]) for (i, j), lf in records)
 
 
 def evaluate_run(learner_loss: float, comparator_loss: float, bound: float) -> RegretReport:

@@ -395,17 +395,24 @@ class TestExitCodes:
         ("lowerbound", "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "16"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e200"),
         ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e200"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e-200"),
+        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e-200"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e-160"),
+        ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "1e-300", "--G", "1e150"),
     ])
-    def test_usage_error(self, argv, tmp_path):
+    def test_usage_error(self, argv, tmp_path, capsys):
+        # In process: an uncaught exception fails the test as a traceback would.
         for k, arg in enumerate(argv):
             if isinstance(arg, Rows):
                 path = tmp_path / "seq.csv"
                 path.write_text("t,i,j,kind,param\n" + "".join(f"{row}\n" for row in arg))
                 argv = (*argv[:k], str(path), *argv[k + 1:])
-        res = matpred(*argv)
-        assert res.returncode == 2
-        assert "error:" in res.stderr and "Traceback" not in res.stderr
-        assert res.stdout == ""   # the error comes before any output
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert "error:" in err
+        assert out == ""   # the error comes before any output
 
     @pytest.mark.parametrize("argv, written", [
         (("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--out"), ""),

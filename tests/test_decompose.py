@@ -76,15 +76,26 @@ class TestDecomposeTraceNorm:
         assert np.allclose(d.P, 0.5 * np.array([[1, 1], [1, 1]]))
         assert np.allclose(d.N, 0.5 * np.array([[1, -1], [-1, 1]]))
         assert d.realized_trace() == pytest.approx(2.0)
+        # an exactly symmetric W keeps its own order: tau = ||W||_tr
+        assert d.order == 2 and d.tau == pytest.approx(2.0)
 
     def test_psd_input_untouched(self):
         d = decompose_trace_norm(np.eye(2))
         assert np.allclose(d.P, np.eye(2))
         assert np.allclose(d.N, 0.0, atol=1e-12)
+        assert d.tau == pytest.approx(2.0)
+
+    def test_symmetric_indefinite_tau_is_trace_norm(self):
+        W = np.array([[0.5, -1.0], [-1.0, 0.2]])
+        d = decompose_trace_norm(W)
+        assert d.order == 2
+        assert d.tau == pytest.approx(trace_norm(W)) and d.tau == pytest.approx(2.0224, abs=1e-4)
 
     def test_row_vector_trace_sum(self):
         d = decompose_trace_norm(np.array([[1.0, -1.0]]))
         assert d.realized_trace() == pytest.approx(2 * np.sqrt(2.0), abs=1e-10)
+        # the block embedding doubles the trace norm
+        assert d.tau == pytest.approx(2 * np.sqrt(2.0))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -99,6 +110,7 @@ class TestDecomposeTraceNorm:
         assert validate(d, W).passed
         # tightness: trace sum equals the trace norm of sym(W) exactly
         assert d.realized_trace() == pytest.approx(trace_norm(sym_block(W)), abs=1e-7)
+        assert d.tau == pytest.approx(2 * trace_norm(W))
 
     def test_abs_square_identity(self):
         rng = np.random.default_rng(2)
@@ -107,6 +119,7 @@ class TestDecomposeTraceNorm:
         d = decompose_trace_norm(W)
         S = symmetrize(W)
         assert np.max(np.abs((d.P + d.N) @ (d.P + d.N) - S @ S)) <= 1e-7
+        assert d.tau == pytest.approx(trace_norm(W))
 
     def test_entry_bound_sqrt_p(self):
         rng = np.random.default_rng(4)
@@ -114,6 +127,7 @@ class TestDecomposeTraceNorm:
             W = rng.uniform(-1, 1, (6, 4))
             d = decompose_trace_norm(W)
             assert np.max(np.abs(d.P + d.N)) <= np.sqrt(d.order) + 1e-7
+            assert d.tau == pytest.approx(2 * trace_norm(W))
 
 
 class TestTriangular:

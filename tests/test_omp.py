@@ -65,7 +65,10 @@ class TestOmpConfig:
                     dict(m=0), dict(n=0), dict(T=0),
                     dict(G=0.0, eta=0.1), dict(tau=0.0, eta=0.1), dict(T=0, eta=0.1),
                     dict(G=math.inf), dict(G=math.nan), dict(tau=math.inf), dict(tau=math.nan),
-                    dict(eta=math.inf), dict(eta=math.nan), dict(eta=-math.inf), dict(G=1e200)):
+                    dict(eta=math.inf), dict(eta=math.nan), dict(eta=-math.inf), dict(G=1e200),
+                    # beta 4 G^2 T underflows to 0; the default eta overflows
+                    # to inf, or underflows to 0
+                    dict(G=1e-200), dict(G=1e-160), dict(tau=1e-300, G=1e150)):
             with pytest.raises(ValueError):
                 OmpConfig(**{**nonsym, **bad})
 
@@ -207,6 +210,33 @@ def random_blocks(cfg, rng):
 BOTH_CLASSES = pytest.mark.parametrize(
     "cfg", [maxcut_config(n=4, T=10), cf_config(2, 3, 2.0, 1.0, T=10)],
     ids=["symmetric", "nonsymmetric"])
+
+
+@BOTH_CLASSES
+def test_block_values_are_Kt_left_hand_sides(cfg):
+    rng = np.random.default_rng(3)
+    for i, j in ((1, 2), (2, 3), (2, 1), (1, 3)):
+        Y = random_blocks(cfg, rng)
+        lhs = [inner(c.A, full_iterate(Y, cfg)) for c in constraints_Kt(i, j, cfg).constraints]
+        assert np.allclose(block_values(Y, i, j, cfg), lhs, rtol=1e-12, atol=0.0)
+
+
+@BOTH_CLASSES
+def test_projection_folds_duals_into_log_iterate(cfg, monkeypatch):
+    # A round that projects subtracts sum_j alpha_j A_j over K_t from the
+    # log iterate before the step subtracts eta L_t.
+    rng = np.random.default_rng(4)
+    project = omp.project_qre
+    for i, j in ((1, 2), (2, 3), (2, 1)):
+        duals = rng.uniform(0.0, 2.0, 4)
+        monkeypatch.setattr(omp, "project_qre", lambda Y, cs: (project(Y, cs)[0], duals))
+        s = new_session(cfg)
+        s.pending, s.log_pending = 2.0 * s.pending, s.log_pending + math.log(2.0)  # Tr > tau
+        log_X = full_iterate(s.log_pending, cfg)
+        _, s = omp_round(s, i, j, LossFn("linear", 0.5))
+        fold = sum(a * c.A for a, c in zip(duals, constraints_Kt(i, j, cfg).constraints))
+        want = log_X - fold - cfg.eta * loss_matrix(0.5, i, j, cfg)
+        assert np.allclose(full_iterate(s.log_pending, cfg), want, rtol=0.0, atol=1e-12)
 
 
 class TestExpStep:

@@ -47,6 +47,13 @@ class TestLossFn:
         assert lf.subgradient(1.0 - 2 * CLAMP_SLACK) == -G
         assert lf.subgradient(1.0 + 2 * CLAMP_SLACK) == G
 
+    def test_absolute_halved_is_half_of_absolute(self):
+        for label in (-1.0, 0.25, 1.0):
+            half, full = LossFn("absolute_halved", label), LossFn("absolute", label)
+            for d in (0.0, 1e-7, -1e-7, CLAMP_SLACK, -CLAMP_SLACK, 2e-6, -2e-6, 0.3, -1.7):
+                assert half.value(label + d) == 0.5 * full.value(label + d)
+                assert half.subgradient(label + d) == 0.5 * full.subgradient(label + d)
+
     def test_linear(self):
         lf = LossFn("linear", -0.7)
         assert lf.value(0.5) == pytest.approx(-0.35)
@@ -196,6 +203,18 @@ class TestBestPermutation:
 def test_bruteforce_rejects_entry_outside_class(brute_force, pair):
     with pytest.raises(IndexError, match="outside"):
         brute_force([(pair, LossFn("absolute", 1.0))], 3)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (-1, 1)])
+def test_comparators_reject_entry_that_would_wrap(pair):
+    # numpy reads index -1 as the last row or column
+    halved, linear = [(pair, LossFn("absolute_halved", 1.0))], [(pair, LossFn("linear", 1.0))]
+    for compute in (lambda: best_cut_bruteforce(halved, 2),
+                    lambda: best_cf_subgradient(linear, 2, 2, 1.0),
+                    lambda: comparator_matrix_value(halved, np.ones((2, 2))),
+                    lambda: maxcut_weights(halved, 2)):
+        with pytest.raises(IndexError, match="outside"):
+            compute()
 
 
 class TestBestCf:
