@@ -7,17 +7,23 @@ form of the quantum-relative-entropy projection: the projected point is
 X* = exp(log Y - sum_j alpha_j A_j) with nonnegative duals alpha
 maximizing -Tr(exp(log Y - sum alpha_j A_j)) - sum alpha_j b_j. Its
 logarithm is known in closed form, so a caller that keeps log Y never
-needs a matrix logarithm to take the next step. The projection works on
-the full matrix and assumes no block structure. `satisfied` is its one
-feasibility rule: it decides the early return for a feasible input and,
-with complementary slackness, the stop; `omp_round` shares it to test the
-step against K_t on the p x p blocks, and calls `project_qre` only when
-that test fails.
+needs a matrix logarithm. The projection works on the full matrix and
+assumes no block structure. It has two entries: `project_qre_log`, the
+solver, takes log Y, and `project_qre` takes a dense Y, returns it as is
+when it is feasible and otherwise solves from its (floored) matrix
+logarithm. `omp_round` keeps log Y, so it calls the solver directly, and
+only after its own block test has rejected the step. `satisfied` is the
+one feasibility rule: it decides that block test, the dense entry's early
+return and, with complementary slackness, the solver's stop.
 
 The dual has at most a handful of variables, so it is solved by cyclic
 coordinate ascent with scalar bisection; the trace constraint (A = I) has a
-closed-form coordinate update. Duals live in [0, 3 tau] for constraints
-with b >= 1; a homogeneous constraint (b < 1) gets a widened box.
+closed-form coordinate update, exp(B - a I) = e^{-a} exp(B) (the trace
+normalisation of Tsuda, Raetsch & Warmuth, JMLR 2005), which also gives
+the sweep's iterate when the trace is its last coordinate. Bisection starts
+from the bracket [0, 3 tau] for constraints with b >= 1 (a homogeneous
+constraint, b < 1, gets a widened one) and doubles its upper end until it
+holds the root, so no dual is capped.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .linalg import inner, matrix_exp, matrix_log
 
-# The dual solver's relative KKT tolerance and sweep cap (see project_qre).
+# The dual solver's relative KKT tolerance and sweep cap (see project_qre_log).
 PROJECTION_TOL = 1e-7
 MAX_SWEEPS = 200
 
@@ -42,7 +48,8 @@ class LinConstraint:
     """A linear constraint A . X <= b with symmetric A.
 
     The dual range analysis assumes b >= 1; constraints with smaller b are
-    accepted but solved over a widened dual box (see project_qre).
+    accepted, and their bisection starts from a widened bracket (see
+    `_dual_box`).
     """
 
     A: np.ndarray
@@ -53,8 +60,8 @@ class LinConstraint:
 class ConstraintSet:
     """An ordered collection of linear constraints on matrices of one order.
 
-    `tau` is the trace scale of the ambient problem and sets the dual search
-    box [0, 3 tau].
+    `tau` is the trace scale of the ambient problem and sets the dual
+    solver's first bracket [0, 3 tau].
     """
 
     constraints: tuple
@@ -78,26 +85,35 @@ def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
         return 3.0 * tau
     # Homogeneous constraints (b < 1) fall outside the b >= 1 range
     # argument; the exponential decay of the objective still keeps the
-    # optimum finite, in a slightly larger box.
+    # optimum finite, usually in a slightly larger box.
     return 3.0 * tau + np.log(max(3.0 * tau * order, 2.0))
 
 
 def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
-    """Quantum-relative-entropy projection of Y onto the polytope of cs.
+    """Quantum-relative-entropy projection of a dense Y onto the polytope of cs.
 
     Y must be symmetric positive definite. Returns (X*, duals). When Y is
-    already feasible it is returned as is with zero duals; otherwise
-    X* = exp(log Y - sum alpha_j A_j) is positive definite, primal feasible
-    and complementary slack, both within PROJECTION_TOL * (1 + |b_j|) per
-    constraint. Only this second case takes log Y, with its eigenvalue
-    floor. Raises ProjectionError after MAX_SWEEPS sweeps.
+    already feasible it is returned as is with zero duals; otherwise this
+    is `project_qre_log(log Y, cs)`, and only then is log Y taken, with its
+    eigenvalue floor.
+    """
+    if all(satisfied(inner(c.A, Y), c.b) for c in cs.constraints):
+        return Y, np.zeros(len(cs.constraints))
+    return project_qre_log(matrix_log(Y), cs)
+
+
+def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """Quantum-relative-entropy projection of Y = exp(logY) onto the
+    polytope of cs, from its exactly symmetric logarithm.
+
+    Returns (X*, duals): X* = exp(logY - sum alpha_j A_j) is positive
+    definite, primal feasible and complementary slack, both within
+    PROJECTION_TOL * (1 + |b_j|) per constraint. There is no shortcut for a
+    feasible Y: the caller tests feasibility first. Raises ProjectionError
+    after MAX_SWEEPS sweeps.
     """
     m = len(cs.constraints)
     alpha = np.zeros(m)
-    if all(satisfied(inner(c.A, Y), c.b) for c in cs.constraints):
-        return Y, alpha
-
-    logY = matrix_log(Y)
     identity = np.eye(cs.order)
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
     boxes = [_dual_box(c, cs.tau, cs.order) for c in cs.constraints]
@@ -109,13 +125,18 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarra
             if is_identity[j]:
                 # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
                 # closed form.
-                tr = float(np.trace(matrix_exp(B)))
-                new = 0.0 if tr <= c.b else min(float(np.log(tr / c.b)), boxes[j])
+                exp_B = matrix_exp(B)
+                tr = float(np.trace(exp_B))
+                new = 0.0 if tr <= c.b else float(np.log(tr / c.b))
             else:
                 new = _bisect_coordinate(B, c, boxes[j])
             weighted = weighted + (new - alpha[j]) * c.A
             alpha[j] = new
-        X = matrix_exp(logY - weighted)
+        if is_identity[-1]:
+            # The sweep ended on the trace: logY - weighted is its B - a I.
+            X = np.exp(-alpha[-1]) * exp_B
+        else:
+            X = matrix_exp(logY - weighted)
         vals = np.array([inner(c.A, X) for c in cs.constraints])
         slack = max(alpha[j] * (c.b - vals[j]) / (1.0 + abs(c.b))
                     for j, c in enumerate(cs.constraints))
@@ -128,8 +149,11 @@ def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarra
 
 
 def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float) -> float:
-    """Solve A . exp(B - a A) = b for a in [0, hi]; the gradient is
-    monotone decreasing in a, so plain bisection applies."""
+    """Solve A . exp(B - a A) = b for a >= 0, starting from the bracket
+    [0, hi]. The gradient is monotone decreasing in a: hi doubles until
+    the gradient there is <= 0, or not finite (exp overflowed), then plain
+    bisection applies. A gradient still positive after 64 doublings leaves
+    the root at hi; the final KKT check reports if this is a failure."""
 
     def g(a):
         return inner(c.A, matrix_exp(B - a * c.A)) - c.b
@@ -137,8 +161,10 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float) -> float:
     gtol = 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
     if g(0.0) <= gtol:
         return 0.0
-    if g(hi) > 0.0:
-        return hi  # box edge; final KKT check reports if this is a failure
+    for _ in range(64):
+        if not 0.0 < g(hi) < np.inf:
+            break
+        hi *= 2.0
     lo_a, hi_a = 0.0, hi
     for _ in range(80):
         mid = 0.5 * (lo_a + hi_a)

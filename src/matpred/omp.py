@@ -6,8 +6,8 @@ round proceeds in the order: receive the queried entry, project the pending
 exponentiated step onto the four-constraint polytope K_t for that entry,
 read off the prediction, evaluate the loss, and stash the next
 exponentiated step. The session also carries the pending step's logarithm:
-the projection subtracts sum_j alpha_j A_j from it and the step subtracts
-eta L, so the step takes no matrix logarithm.
+the projection solves from it and subtracts sum_j alpha_j A_j, and the step
+subtracts eta L, so no round takes a matrix logarithm.
 
 Every loss matrix and every constraint acts on the two p x p diagonal
 blocks alike, so the iterate stays diag(A, B); on a non-symmetric class
@@ -15,11 +15,12 @@ B = S A S with S = diag(1_m, -1_n). The session therefore carries only
 the blocks, as a (k, p, p) stack: k = 1 (the upper block) on a
 non-symmetric class, k = 2 on a symmetric one. A round whose step already
 lies in K_t reads D.Y, E.Y and Tr Y from five block entries and the trace,
-predicts from the same entries, and builds no 2p x 2p matrix; only a round
-that must project assembles the pending iterate (`full_iterate`) for
-`project_qre`. L_t, K_t's four constraints (the rows of `_KT`), the step
-and the dual fold are all written on the blocks by `_pair_term`, so the log
-iterate is never assembled.
+predicts from the same entries, and builds no 2p x 2p matrix. Only a round
+that must project assembles a 2p x 2p matrix: the log iterate
+(`full_iterate` of `log_pending`), from which `project_qre` solves, so a
+round takes no matrix logarithm and tests feasibility once. L_t, K_t's four
+constraints (the rows of `_KT`), the step and the dual fold are all written
+on the blocks by `_pair_term`, and the pending iterate is never assembled.
 
 Entry indices on the API surface are 1-based, matching the row/column
 numbering of the predicted matrix.
@@ -33,7 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import matrix_exp
-from .mmw import ConstraintSet, LinConstraint, project_qre, satisfied
+from .mmw import ConstraintSet, LinConstraint, satisfied
+# The session keeps log Y, so a round projects with the log-space solver.
+# It keeps the name `project_qre` here, the name perfbench's tracer wraps.
+from .mmw import project_qre_log as project_qre
 
 # Predictions within this distance outside the range are clamped and
 # recorded; anything farther is an invariant violation.
@@ -250,7 +254,7 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     if in_Kt(values, cfg):
         yhat, log_X = values[1], session.log_pending
     else:
-        X, duals = project_qre(full_iterate(session.pending, cfg), constraints_Kt(i, j, cfg))
+        X, duals = project_qre(full_iterate(session.log_pending, cfg), constraints_Kt(i, j, cfg))
         yhat = predict(X, i, j, cfg)
         log_X = session.log_pending - _pair_term(i, j, cfg, *(duals @ _KT))
     lo, hi = cfg.prediction_range

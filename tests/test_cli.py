@@ -179,6 +179,13 @@ class TestRunCommand:
         assert rc == 1
         assert "error: entry (3, 3) is on the diagonal" in capsys.readouterr().err
 
+    def test_large_eta_projects(self, capsys):
+        # The trace dual here, log(Tr Y / tau), exceeds the dual solver's
+        # first bracket 3 tau.
+        rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "5", "--eta", "30"])
+        assert rc == 0
+        assert "bound satisfied  True" in capsys.readouterr().out
+
     def test_bad_eta_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "maxcut", "--n", "4", "--T", "10", "--eta", "-1.0"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matpred.linalg import inner, matrix_exp, matrix_log, qre
-from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, project_qre
+from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, project_qre, project_qre_log
 from matpred.omp import constraints_Kt
 from matpred.problems import cf_config
 
@@ -29,6 +29,12 @@ class TestProjectTrace:
         X, alpha = project_qre(2.0 * np.eye(2), trace_set(2, 1.0))
         assert np.allclose(X, 0.5 * np.eye(2), atol=1e-9)
         assert alpha[0] == pytest.approx(np.log(4.0), abs=1e-9)
+
+    def test_trace_dual_is_not_capped(self):
+        # log(Tr Y / b) = log(2e6) lies far beyond the first bracket 3 tau = 3
+        X, alpha = project_qre(1e6 * np.eye(2), trace_set(2, 1.0, tau=1.0))
+        assert np.allclose(X, 0.5 * np.eye(2), rtol=0.0, atol=1e-12)
+        assert alpha[0] == pytest.approx(np.log(2e6), rel=1e-14)
 
     def test_trace_projection_is_rescaling(self):
         # with only a trace cap the projection rescales Y to trace b
@@ -57,6 +63,32 @@ class TestProjectGeneral:
         assert np.allclose(X, np.eye(2), atol=1e-7)
         assert alpha[0] == pytest.approx(np.log(4.0), abs=1e-6)
         assert alpha[1] == pytest.approx(0.0, abs=1e-6)
+
+    def test_bisection_widens_its_bracket(self):
+        # X11 <= 1 on diag(1e6, 1) needs the dual log(1e6), beyond the first
+        # bracket 3 tau = 3: exp(log Y - a e1 e1^T) = diag(1e6 e^{-a}, 1).
+        cs = ConstraintSet(constraints=(LinConstraint(A=np.diag([1.0, 0.0]), b=1.0),),
+                           order=2, tau=1.0)
+        X, alpha = project_qre(np.diag([1e6, 1.0]), cs)
+        assert np.allclose(X, np.eye(2), rtol=0.0, atol=1e-7)
+        assert alpha[0] == pytest.approx(np.log(1e6), rel=1e-8)
+
+    def test_trace_closed_form_iterate(self):
+        # With the trace last (K_t's order D, E, -E, I) a sweep's iterate is
+        # e^{-a} exp(B) from the trace coordinate; it is exp(log Y - sum
+        # alpha_j A_j) to round-off.
+        rng = np.random.default_rng(7)
+        for m in (1, 2, 4):
+            cfg = cf_config(m, m, float(m), 1.0, 100)
+            cs = constraints_Kt(1, 1, cfg)
+            assert np.array_equal(cs.constraints[-1].A, np.eye(cs.order))
+            for _ in range(10):
+                M = rng.standard_normal((cs.order, cs.order))
+                log_Y = 0.5 * (M + M.T)
+                X, alpha = project_qre_log(log_Y, cs)
+                assert alpha[-1] > 0.0
+                want = matrix_exp(log_Y - sum(a * c.A for a, c in zip(alpha, cs.constraints)))
+                assert np.max(np.abs(X - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_kkt_certificate_random(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from matpred.decompose import CutSet, Decomposition, cut_matrix, decompose_cut
 from matpred.harness import PROBLEMS, Params, run_learner
 from matpred.linalg import inner, matrix_exp, matrix_log
-from matpred.mmw import project_qre
+from matpred.mmw import PROJECTION_TOL, project_qre
 from matpred import omp
 from matpred.omp import (
     InvariantViolation,
@@ -307,7 +307,9 @@ def test_log_iterate_keeps_block_structure(problem):
 def test_block_test_agrees_with_projection(problem):
     # The block read decides "feasible" exactly when the order-2p
     # projection returns zero duals, and reads the prediction that
-    # `predict` reads off the assembled iterate.
+    # `predict` reads off the assembled iterate. Where it must project, the
+    # round's solver on the log iterate finds the duals and the point that
+    # the dense entry finds from log Y of the pending iterate.
     p = Params(n=5, T=150)
     entry = PROBLEMS[problem]
     cfg = entry.config(p)
@@ -316,19 +318,48 @@ def test_block_test_agrees_with_projection(problem):
     for (i, j), lf in entry.adversary(p, 3).rounds:
         Y = full_iterate(s.pending, cfg)
         values = block_values(s.pending, i, j, cfg)
-        _, duals = project_qre(Y, constraints_Kt(i, j, cfg))
+        cs = constraints_Kt(i, j, cfg)
+        X, duals = project_qre(Y, cs)
         assert in_Kt(values, cfg) == (not np.any(duals))
         assert values[1] == predict(Y, i, j, cfg)
+        if not in_Kt(values, cfg):
+            X_log, duals_log = omp.project_qre(full_iterate(s.log_pending, cfg), cs)
+            assert np.max(np.abs(duals_log - duals)) <= PROJECTION_TOL
+            assert np.max(np.abs(X_log - X)) <= 1e-9 * np.max(np.abs(X))
         feasible += in_Kt(values, cfg)
         _, s = omp_round(s, i, j, lf)
     assert 0 < feasible < p.T
 
 
+def test_cf_projection_takes_four_eigh(monkeypatch):
+    # On CF the trace is the only positive dual of every active projection,
+    # and one sweep from the log iterate finds it with four eigh: the first
+    # gradient of each of D, E and -E, and the trace coordinate's
+    # exponential, which is also the sweep's iterate.
+    eigh, project = np.linalg.eigh, omp.project_qre
+    calls, counts = [0], []
+
+    def counted_eigh(*args):
+        calls[0] += 1
+        return eigh(*args)
+
+    def counted_project(*args):
+        before = calls[0]
+        out = project(*args)
+        counts.append(calls[0] - before)
+        return out
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(omp, "project_qre", counted_project)
+    p = Params(n=5, T=200)
+    run_learner(PROBLEMS["cf"].config(p), PROBLEMS["cf"].adversary(p, 1))
+    assert len(counts) > 0 and set(counts) == {4}
+
+
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_feasible_round_builds_no_full_matrix(problem, monkeypatch):
     # Only a round whose step leaves K_t builds K_t, projects and assembles
-    # a 2p x 2p iterate: the pending one, once. No round assembles the log
-    # iterate or builds L_t.
+    # a 2p x 2p iterate: the log one, once, which the projection solves
+    # from. No round assembles the pending iterate or builds L_t.
     calls = dict.fromkeys(("full_iterate", "constraints_Kt", "project_qre",
                            "loss_matrix", "predict", "infeasible"), 0)
 
@@ -356,10 +387,10 @@ def test_feasible_round_builds_no_full_matrix(problem, monkeypatch):
 
     def assemble(Y, cfg):
         # K_t's own D and E are assembled from fresh stacks; only the
-        # session's pending stack counts.
+        # session's log stack counts.
         pending, log_pending = steps[-1]
-        assert Y is not log_pending
-        calls["full_iterate"] += Y is pending
+        assert Y is not pending
+        calls["full_iterate"] += Y is log_pending
         return full_iterate(Y, cfg)
     monkeypatch.setattr(omp, "in_Kt", decided)
     monkeypatch.setattr(omp, "exp_step", step)
