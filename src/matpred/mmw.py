@@ -21,13 +21,13 @@ coordinate ascent with scalar bisection; the trace constraint (A = I) has a
 closed-form coordinate update, exp(B - a I) = e^{-a} exp(B) (the trace
 normalisation of Tsuda, Raetsch & Warmuth, JMLR 2005), which also gives
 the sweep's iterate when the trace is its last coordinate. Bisection starts
-from the bracket [0, 3 tau] for constraints with b >= 1 (a homogeneous
-constraint, b < 1, gets a widened one) and doubles its upper end until it
-holds the root, so no dual is capped.
+from the bracket [0, 1] and doubles its upper end until it holds the root,
+so no dual is capped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,48 +45,45 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinConstraint:
-    """A linear constraint A . X <= b with symmetric A.
-
-    The dual range analysis assumes b >= 1; constraints with smaller b are
-    accepted, and their bisection starts from a widened bracket (see
-    `_dual_box`).
-    """
+    """A linear constraint A . X <= b with symmetric A and finite b."""
 
     A: np.ndarray
     b: float
 
+    def __post_init__(self):
+        # eigh reads one triangle of B - a A, so a non-symmetric A would be
+        # projected against that triangle, not against sym(A).
+        if not (self.A.ndim == 2 and self.A.shape == self.A.T.shape
+                and (self.A == self.A.T).all() and math.isfinite(self.b)):
+            raise ValueError(f"constraint A . X <= b needs a symmetric A and a finite b, got b={self.b}")
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """An ordered collection of linear constraints on matrices of one order.
+    """A nonempty ordered collection of linear constraints on matrices of one
+    order.
 
-    `tau` is the trace scale of the ambient problem and sets the dual
-    solver's first bracket [0, 3 tau].
+    `tau` is the trace bound of the ambient problem; the solver does not
+    read it.
     """
 
     constraints: tuple
-    order: int
     tau: float
 
     def __post_init__(self):
-        for c in self.constraints:
-            if c.A.shape != (self.order, self.order):
-                raise ValueError("constraint matrix order mismatch")
+        if len({c.A.shape for c in self.constraints}) != 1:
+            raise ValueError("a constraint set needs one or more constraints of one order")
+
+    @property
+    def order(self) -> int:
+        """The common order of the constraint matrices."""
+        return len(self.constraints[0].A)
 
 
 def satisfied(value: float, b: float) -> bool:
     """Whether a constraint value A . X <= b holds within the projection's
     tolerance PROJECTION_TOL * (1 + |b|)."""
     return value <= b + PROJECTION_TOL * (1.0 + abs(b))
-
-
-def _dual_box(c: LinConstraint, tau: float, order: int) -> float:
-    if c.b >= 1.0:
-        return 3.0 * tau
-    # Homogeneous constraints (b < 1) fall outside the b >= 1 range
-    # argument; the exponential decay of the objective still keeps the
-    # optimum finite, usually in a slightly larger box.
-    return 3.0 * tau + np.log(max(3.0 * tau * order, 2.0))
 
 
 def project_qre(Y: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +109,9 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     feasible Y: the caller tests feasibility first. Raises ProjectionError
     after MAX_SWEEPS sweeps.
     """
-    m = len(cs.constraints)
-    alpha = np.zeros(m)
-    identity = np.eye(cs.order)
+    alpha = np.zeros(len(cs.constraints))
+    identity = np.eye(len(logY))
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
-    boxes = [_dual_box(c, cs.tau, cs.order) for c in cs.constraints]
 
     weighted = np.zeros_like(logY)
     for _ in range(MAX_SWEEPS):
@@ -129,7 +124,7 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
                 tr = float(np.trace(exp_B))
                 new = 0.0 if tr <= c.b else float(np.log(tr / c.b))
             else:
-                new = _bisect_coordinate(B, c, boxes[j])
+                new = _bisect_coordinate(B, c)
             weighted = weighted + (new - alpha[j]) * c.A
             alpha[j] = new
         if is_identity[-1]:
@@ -148,9 +143,9 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     )
 
 
-def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float) -> float:
+def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
     """Solve A . exp(B - a A) = b for a >= 0, starting from the bracket
-    [0, hi]. The gradient is monotone decreasing in a: hi doubles until
+    [0, 1]. The gradient is monotone decreasing in a: hi doubles until
     the gradient there is <= 0, or not finite (exp overflowed), then plain
     bisection applies. A gradient still positive after 64 doublings leaves
     the root at hi; the final KKT check reports if this is a failure."""
@@ -161,9 +156,8 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float) -> float:
     gtol = 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
     if g(0.0) <= gtol:
         return 0.0
-    for _ in range(64):
-        if not 0.0 < g(hi) < np.inf:
-            break
+    hi = 1.0
+    while hi < 2.0 ** 64 and 0.0 < g(hi) < np.inf:
         hi *= 2.0
     lo_a, hi_a = 0.0, hi
     for _ in range(80):
@@ -175,6 +169,6 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint, hi: float) -> float:
             lo_a = mid
         else:
             hi_a = mid
-        if hi_a - lo_a <= 1e-14 * max(1.0, hi):
+        if hi_a - lo_a <= 1e-14 * hi:
             break
     return 0.5 * (lo_a + hi_a)

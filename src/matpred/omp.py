@@ -78,6 +78,9 @@ class OmpConfig:
             raise ValueError("beta must be >= 1")
         if self.symmetric_class and self.m != self.n:
             raise ValueError("symmetric class requires m == n")
+        lo, hi = self.prediction_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"prediction_range must be finite with lo < hi, got ({lo}, {hi})")
         if self.tau > 2 * self.p * self.beta + 1e-9:
             raise ValueError(
                 f"tau={self.tau} exceeds 2*p*beta={2 * self.p * self.beta}; "
@@ -205,7 +208,7 @@ def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
     D . X <= 4 beta, prediction E . X within range, trace <= tau."""
     constraints = [LinConstraint(A=full_iterate(_pair_term(i, j, cfg, *row), cfg), b=b)
                    for row, b in zip(_KT, _bounds(cfg))]
-    return ConstraintSet(constraints=tuple(constraints), order=2 * cfg.p, tau=cfg.tau)
+    return ConstraintSet(constraints=tuple(constraints), tau=cfg.tau)
 
 
 def _pair_term(i: int, j: int, cfg: OmpConfig, diag: float = 0.0, off: float = 0.0,

@@ -180,8 +180,7 @@ class TestRunCommand:
         assert "error: entry (3, 3) is on the diagonal" in capsys.readouterr().err
 
     def test_large_eta_projects(self, capsys):
-        # The trace dual here, log(Tr Y / tau), exceeds the dual solver's
-        # first bracket 3 tau.
+        # The trace dual here, log(Tr Y / tau), is large; no dual is capped.
         rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "5", "--eta", "30"])
         assert rc == 0
         assert "bound satisfied  True" in capsys.readouterr().out

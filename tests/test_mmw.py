@@ -12,9 +12,29 @@ from matpred.problems import cf_config
 def trace_set(order, b, tau=None):
     return ConstraintSet(
         constraints=(LinConstraint(A=np.eye(order), b=float(b)),),
-        order=order,
         tau=float(tau if tau is not None else b),
     )
+
+
+class TestConstraints:
+    @pytest.mark.parametrize("A, b", [
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), 1.0),  # not symmetric
+        (np.ones((2, 3)), 1.0),  # not square
+        (np.ones(2), 1.0),  # not a matrix
+        (np.eye(2), np.nan),
+        (np.eye(2), np.inf),
+        (np.eye(2), -np.inf),
+    ])
+    def test_rejects_malformed_constraint(self, A, b):
+        with pytest.raises(ValueError):
+            LinConstraint(A=A, b=b)
+
+    def test_set_order_is_the_common_order(self):
+        c2, c3 = LinConstraint(A=np.eye(2), b=1.0), LinConstraint(A=np.eye(3), b=1.0)
+        assert ConstraintSet(constraints=(c3, c3), tau=1.0).order == 3
+        for bad in ((), (c2, c3)):
+            with pytest.raises(ValueError):
+                ConstraintSet(constraints=bad, tau=1.0)
 
 
 class TestProjectTrace:
@@ -31,7 +51,8 @@ class TestProjectTrace:
         assert alpha[0] == pytest.approx(np.log(4.0), abs=1e-9)
 
     def test_trace_dual_is_not_capped(self):
-        # log(Tr Y / b) = log(2e6) lies far beyond the first bracket 3 tau = 3
+        # the trace coordinate's closed form gives the dual log(Tr Y / b) =
+        # log(2e6), far above b and tau
         X, alpha = project_qre(1e6 * np.eye(2), trace_set(2, 1.0, tau=1.0))
         assert np.allclose(X, 0.5 * np.eye(2), rtol=0.0, atol=1e-12)
         assert alpha[0] == pytest.approx(np.log(2e6), rel=1e-14)
@@ -56,7 +77,6 @@ class TestProjectGeneral:
                 LinConstraint(A=np.diag([1.0, 0.0]), b=1.0),
                 LinConstraint(A=np.eye(2), b=2.0),
             ),
-            order=2,
             tau=2.0,
         )
         X, alpha = project_qre(Y, cs)
@@ -64,14 +84,24 @@ class TestProjectGeneral:
         assert alpha[0] == pytest.approx(np.log(4.0), abs=1e-6)
         assert alpha[1] == pytest.approx(0.0, abs=1e-6)
 
-    def test_bisection_widens_its_bracket(self):
-        # X11 <= 1 on diag(1e6, 1) needs the dual log(1e6), beyond the first
-        # bracket 3 tau = 3: exp(log Y - a e1 e1^T) = diag(1e6 e^{-a}, 1).
-        cs = ConstraintSet(constraints=(LinConstraint(A=np.diag([1.0, 0.0]), b=1.0),),
-                           order=2, tau=1.0)
-        X, alpha = project_qre(np.diag([1e6, 1.0]), cs)
-        assert np.allclose(X, np.eye(2), rtol=0.0, atol=1e-7)
-        assert alpha[0] == pytest.approx(np.log(1e6), rel=1e-8)
+    @pytest.mark.parametrize("Y, A, b, dual, X_want", [
+        # X11 <= b on diag(1e6, 1): exp(log Y - a e1 e1^T) = diag(1e6 e^{-a}, 1),
+        # so the dual is log(1e6 / b).
+        (np.diag([1e6, 1.0]), np.diag([1.0, 0.0]), 1.0, np.log(1e6), np.eye(2)),
+        (np.diag([1e6, 1.0]), np.diag([1.0, 0.0]), 0.25, np.log(4e6), np.diag([0.25, 1.0])),
+        # E . X = X12 <= 0 on [[1, .5], [.5, 1]]: the dual cancels (log Y)12 =
+        # log(3) / 2, leaving X = sqrt(3) / 2 I.
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[0.0, 0.5], [0.5, 0.0]]), 0.0,
+         np.log(3.0), 0.5 * np.sqrt(3.0) * np.eye(2)),
+    ], ids=["diag-b1", "diag-b0.25", "offdiag-b0"])
+    def test_bisection_widens_its_bracket(self, Y, A, b, dual, X_want):
+        # Each dual lies above bisection's first bracket [0, 1]. Bisection
+        # stops once the coordinate's gradient is within 1e-8, so the dual
+        # is held to about that over the gradient's slope.
+        cs = ConstraintSet(constraints=(LinConstraint(A=A, b=b),), tau=1.0)
+        X, alpha = project_qre(Y, cs)
+        assert np.allclose(X, X_want, rtol=0.0, atol=1e-7)
+        assert alpha[0] == pytest.approx(dual, rel=0.0, abs=1e-7)
 
     def test_trace_closed_form_iterate(self):
         # With the trace last (K_t's order D, E, -E, I) a sweep's iterate is
@@ -104,7 +134,6 @@ class TestProjectGeneral:
                     LinConstraint(A=D, b=float(rng.uniform(0.02, 0.3))),
                     LinConstraint(A=np.eye(d), b=float(rng.uniform(0.5, 2.0))),
                 ),
-                order=d,
                 tau=4.0,
             )
             cases.append((Y, cs))
@@ -150,7 +179,6 @@ class TestProjectGeneral:
                 LinConstraint(A=-np.eye(2), b=-5.0),  # Tr >= 5
                 LinConstraint(A=np.eye(2), b=1.0),    # Tr <= 1
             ),
-            order=2,
             tau=1.0,
         )
         with pytest.raises(ProjectionError):

@@ -68,7 +68,10 @@ class TestOmpConfig:
                     dict(eta=math.inf), dict(eta=math.nan), dict(eta=-math.inf), dict(G=1e200),
                     # beta 4 G^2 T underflows to 0; the default eta overflows
                     # to inf, or underflows to 0
-                    dict(G=1e-200), dict(G=1e-160), dict(tau=1e-300, G=1e150)):
+                    dict(G=1e-200), dict(G=1e-160), dict(tau=1e-300, G=1e150),
+                    dict(prediction_range=(1.0, -1.0)), dict(prediction_range=(0.0, 0.0)),
+                    dict(prediction_range=(0.0, math.nan)),
+                    dict(prediction_range=(-math.inf, 1.0))):
             with pytest.raises(ValueError):
                 OmpConfig(**{**nonsym, **bad})
 
