@@ -18,12 +18,11 @@ from .problems import LossFn
 
 @dataclass(frozen=True)
 class Sequence:
-    """A deterministic adversary transcript: shape, seed, and per-round
+    """A deterministic adversary transcript: shape and per-round
     ((i, j), LossFn) choices."""
 
     m: int
     n: int
-    seed: int
     rounds: tuple
 
     def __len__(self):
@@ -51,7 +50,7 @@ def maxcut_lb(n: int, T: int, seed: int) -> Sequence:
         labels = rng.choice([-1.0, 1.0], size=block)
         for y in labels:
             rounds.append(((i, i + n // 2), LossFn("absolute_halved", float(y))))
-    return Sequence(m=n, n=n, seed=seed, rounds=tuple(rounds))
+    return Sequence(m=n, n=n, rounds=tuple(rounds))
 
 
 def cf_lb(m: int, n: int, tau0: float, G: float, T: int, seed: int) -> Sequence:
@@ -75,7 +74,7 @@ def cf_lb(m: int, n: int, tau0: float, G: float, T: int, seed: int) -> Sequence:
             sigmas = rng.choice([-1.0, 1.0], size=length)
             for s in sigmas:
                 rounds.append(((i, j), LossFn("linear", float(s) * G)))
-    return Sequence(m=m, n=n, seed=seed, rounds=tuple(rounds))
+    return Sequence(m=m, n=n, rounds=tuple(rounds))
 
 
 def cf_lb_comparator(seq: Sequence, tau0: float, G: float) -> np.ndarray:
@@ -116,4 +115,4 @@ def random_adversary(kind: str, m: int, n: int, T: int, seed: int, G: float = 1.
             rounds.append(((i, j), LossFn("linear", coef)))
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
-    return Sequence(m=m, n=n, seed=seed, rounds=tuple(rounds))
+    return Sequence(m=m, n=n, rounds=tuple(rounds))

@@ -148,7 +148,10 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
     [0, 1]. The gradient is monotone decreasing in a: hi doubles until
     the gradient there is <= 0, or not finite (exp overflowed), then plain
     bisection applies. A gradient still positive after 64 doublings leaves
-    the root at hi; the final KKT check reports if this is a failure."""
+    the root at hi; the final KKT check reports if this is a failure.
+    A midpoint a is taken once |g| max(1, a) <= gtol: complementary
+    slackness weighs the gradient by the dual, so a dual above 1 needs a
+    gradient that much smaller."""
 
     def g(a):
         return inner(c.A, matrix_exp(B - a * c.A)) - c.b
@@ -163,7 +166,7 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
     for _ in range(80):
         mid = 0.5 * (lo_a + hi_a)
         gm = g(mid)
-        if abs(gm) <= gtol:
+        if abs(gm) * max(1.0, mid) <= gtol:
             return mid
         if gm > 0.0:
             lo_a = mid

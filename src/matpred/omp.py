@@ -23,7 +23,8 @@ constraints (the rows of `_KT`), the step and the dual fold are all written
 on the blocks by `_pair_term`, and the pending iterate is never assembled.
 
 Entry indices on the API surface are 1-based, matching the row/column
-numbering of the predicted matrix.
+numbering of the predicted matrix. `entry_index` is the one range check
+for them; the comparators and the sequence reader use it too.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
     cfg = session.config
     if session.round > cfg.T:
         raise InvariantViolation(f"round {session.round} exceeds horizon T={cfg.T}")
-    _check_indices(i, j, cfg)
+    entry_index(i, j, cfg.m, cfg.n)
     if cfg.symmetric_class and i == j:
         # K_t and L_t assume two distinct mirrored entries; the diagonal of
         # a symmetric class member (a cut matrix's is -1) is not predicted.
@@ -293,15 +294,18 @@ def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
     return matrix_exp(log_Y), log_Y
 
 
-def _check_indices(i: int, j: int, cfg: OmpConfig):
-    if not (1 <= i <= cfg.m and 1 <= j <= cfg.n):
-        raise IndexError(f"entry ({i}, {j}) outside [1..{cfg.m}] x [1..{cfg.n}]")
+def entry_index(i: int, j: int, m: int, n: int) -> tuple[int, int]:
+    """The 0-based index (i - 1, j - 1) of the 1-based entry (i, j) of an
+    m x n matrix; an entry outside [1..m] x [1..n] is an IndexError."""
+    if not (1 <= i <= m and 1 <= j <= n):
+        raise IndexError(f"entry ({i}, {j}) outside [1..{m}] x [1..{n}]")
+    return i - 1, j - 1
 
 
 def _pair(i: int, j: int, cfg: OmpConfig) -> tuple[int, int]:
     """0-based block coordinates (i - 1, j + q - 1) of the queried entry."""
-    _check_indices(i, j, cfg)
-    return i - 1, j + cfg.q - 1
+    a, b = entry_index(i, j, cfg.m, cfg.n)
+    return a, b + cfg.q
 
 
 def _check_subgradient(g: float, cfg: OmpConfig):

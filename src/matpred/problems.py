@@ -20,7 +20,7 @@ import numpy as np
 
 from .decompose import CutSet, Permutation, cut_matrix, padded_size
 from .linalg import trace_norm
-from .omp import CLAMP_SLACK, OmpConfig
+from .omp import CLAMP_SLACK, OmpConfig, entry_index
 
 # Relative duality gap at which the CF comparator stops, and its iteration cap.
 CF_GAP_TOL = 1e-5
@@ -113,21 +113,13 @@ def cf_config(m: int, n: int, trace_bound: float, G: float, T: int,
                      G=G, T=T, prediction_range=(-1.0, 1.0), eta=eta)
 
 
-def _check_entry(i: int, j: int, m: int, n: int) -> tuple[int, int]:
-    """The 0-based index (i - 1, j - 1) of entry (i, j) of an m x n matrix;
-    an entry outside [1..m] x [1..n] is an IndexError."""
-    if not (1 <= i <= m and 1 <= j <= n):
-        raise IndexError(f"entry ({i}, {j}) outside [1..{m}] x [1..{n}]")
-    return i - 1, j - 1
-
-
 def _first_least(records, n: int, on: float, off: float, count: int, selects) -> tuple[int, float]:
     """Index and cumulative loss of the first of `count` n x n members of least
     loss. Member m predicts `on` at (i, j) where selects(i, j)[m] holds and
     `off` elsewhere, so each pair's losses are summed at the two values once."""
     sums = {}
     for (i, j), lf in records:
-        _check_entry(i, j, n, n)
+        entry_index(i, j, n, n)
         at_on, at_off = sums.get((i, j), (0, 0))
         sums[i, j] = (at_on + lf.value(on), at_off + lf.value(off))
     total = np.zeros(count)
@@ -163,7 +155,7 @@ def maxcut_weights(records, n: int) -> np.ndarray:
     for (i, j), lf in records:
         if lf.kind != "absolute_halved":
             raise ValueError("max-cut weights need absolute-halved losses")
-        a, b = _check_entry(i, j, n, n)
+        a, b = entry_index(i, j, n, n)
         w[a, b] += lf.param
         w[b, a] += lf.param
     return w
@@ -220,7 +212,7 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarra
     for (i, j), lf in records:
         if lf.kind != "linear":
             raise ValueError(f"the CF comparator takes linear losses only, got {lf.kind!r}")
-        C[_check_entry(i, j, m, n)] += lf.param
+        C[entry_index(i, j, m, n)] += lf.param
     scale = np.abs(C).max()
     if scale == 0.0:
         return np.zeros((m, n)), 0.0
@@ -242,7 +234,7 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarra
 
 def comparator_matrix_value(records, W: np.ndarray) -> float:
     """Cumulative loss of the fixed matrix W on a record sequence."""
-    return sum(lf.value(W[_check_entry(i, j, *W.shape)]) for (i, j), lf in records)
+    return sum(lf.value(W[entry_index(i, j, *W.shape)]) for (i, j), lf in records)
 
 
 def evaluate_run(learner_loss: float, comparator_loss: float, bound: float) -> RegretReport:

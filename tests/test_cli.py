@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from matpred.adversaries import Sequence, random_adversary
-from matpred.cli import main, read_matrix, read_sequence, write_matrix, write_sequence
+from matpred.cli import (build_parser, main, read_matrix, read_sequence, write_matrix,
+                         write_sequence)
 from matpred.harness import run_learner
 from matpred.problems import LossFn, maxcut_config
 
@@ -80,6 +81,18 @@ class TestSequenceIo:
         path.write_text(f"t,i,j,kind,param\n1,1,2,linear,0.5\n\n2,2,1,linear,0.5\n{row}\n")
         with pytest.raises(ValueError, match=rf"bad.csv:5: .*{message}"):
             read_sequence(str(path), 2, 2, 2)
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, defaults", [
+        ("run", dict(n=8, m=None, tau0=None, G=1.0, T=1000, seed=1, seeds=1)),
+        ("lowerbound", dict(n=8, m=None, tau0=4.0, G=1.0, T=4096, seed=1, seeds=1)),
+    ])
+    def test_shared_flag_defaults(self, command, defaults):
+        # run and lowerbound declare the same flags with their own tau0 and T
+        # defaults; neither command's defaults leak into the other's.
+        args = build_parser().parse_args([command, "--problem", "maxcut"])
+        assert {key: getattr(args, key) for key in defaults} == defaults
 
 
 class TestRunCommand:
@@ -339,7 +352,7 @@ class TestExitCodes:
         # A learner frozen at 0 pays 1/2 a round on a label the best cut gets
         # right: regret 50 against a bound of sqrt(4 log(8) 100) ~ 28.8.
         path = tmp_path / "seq.csv"
-        write_sequence(str(path), Sequence(4, 4, 0, (((1, 2), LossFn("absolute_halved", 1.0)),) * 100))
+        write_sequence(str(path), Sequence(4, 4, (((1, 2), LossFn("absolute_halved", 1.0)),) * 100))
         res = matpred("run", "--problem", "maxcut", "--n", "4", "--T", "100", "--eta", "1e-9",
                       "--adversary", "file", "--sequence-file", str(path))
         assert res.returncode == 1
@@ -440,7 +453,7 @@ class TestExitCodes:
 
     def test_cf_comparator_needs_linear_losses(self, tmp_path):
         path = tmp_path / "seq.csv"
-        write_sequence(str(path), Sequence(4, 4, 0, (((1, 2), LossFn("absolute", 0.5)),) * 10))
+        write_sequence(str(path), Sequence(4, 4, (((1, 2), LossFn("absolute", 0.5)),) * 10))
         argv = ("run", "--problem", "cf", "--n", "4", "--T", "10",
                 "--adversary", "file", "--sequence-file", str(path))
         res = matpred(*argv)

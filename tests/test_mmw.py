@@ -96,8 +96,8 @@ class TestProjectGeneral:
     ], ids=["diag-b1", "diag-b0.25", "offdiag-b0"])
     def test_bisection_widens_its_bracket(self, Y, A, b, dual, X_want):
         # Each dual lies above bisection's first bracket [0, 1]. Bisection
-        # stops once the coordinate's gradient is within 1e-8, so the dual
-        # is held to about that over the gradient's slope.
+        # stops once the coordinate's gradient is within 1e-8 / max(1, dual),
+        # so the dual is held to about that over the gradient's slope.
         cs = ConstraintSet(constraints=(LinConstraint(A=A, b=b),), tau=1.0)
         X, alpha = project_qre(Y, cs)
         assert np.allclose(X, X_want, rtol=0.0, atol=1e-7)

@@ -306,6 +306,25 @@ def test_log_iterate_keeps_block_structure(problem):
     assert np.max(np.abs(pending - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("problem, n, eta", [
+    ("gambling", 4, 10.0), ("gambling", 4, 30.0), ("gambling", 8, 10.0), ("gambling", 8, 30.0),
+    ("cf", 8, 100.0),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_eta_projects(problem, n, eta):
+    # A large eta gives duals above 1, which bisection must hold to a
+    # gradient scaled down by the dual for the sweep's slackness test to
+    # pass. Left out, since cyclic coordinate ascent does not converge on
+    # their coupled D and I duals within the sweep cap: max-cut n = 4 at
+    # eta >= 30 and n = 8 at eta = 100, gambling at eta = 100. Also left
+    # out: CF n = 4 at eta >= 30, where g(0) of a coordinate whose dual has
+    # diverged overflows in exp.
+    p = Params(n=n, T=50, eta=eta)
+    entry = PROBLEMS[problem]
+    session, _ = run_learner(entry.config(p), entry.adversary(p, 1))
+    assert session.round == p.T + 1
+
+
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_block_test_agrees_with_projection(problem):
     # The block read decides "feasible" exactly when the order-2p
