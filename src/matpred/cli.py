@@ -198,8 +198,8 @@ def _play(cfg: OmpConfig, seed: int, seq, comp, start: float,
 
 def cmd_run(args) -> int:
     problem = PROBLEMS[args.problem]
-    p = _params(args)
     with _usage(args):
+        p = _params(args)
         cfg = problem.config(p)
     comparator = None if args.no_comparator else partial(problem.comparator, p)
     sequence = _sequences(args, p)
@@ -259,8 +259,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     lb = PROBLEMS[args.problem].lower_bound
-    p = _params(args)
     with _usage(args):
+        p = _params(args)
         cfg = PROBLEMS[args.problem].config(p)
     games = _games(args, partial(lb.adversary, p), partial(lb.comparator, p))
     regrets = np.array([_play(cfg, *game).regret for game in games])
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv[:1] + _config_argv(args.config, args.parser) + argv[1:])
     try:
         return args.func(args)
-    except (ValueError, IndexError, RuntimeError) as exc:
+    except (ValueError, IndexError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,8 @@ class Params:
 
     m defaults to n, and the trace-norm bound tau0 (read by CF alone)
     defaults to m. The configs of the n x n classes (max-cut, gambling)
-    reject any other m.
+    reject any other m. A G or a tau0 that is not finite and > 0 is a
+    ValueError, on every problem.
     """
 
     n: int
@@ -39,6 +40,9 @@ class Params:
             object.__setattr__(self, "m", self.n)
         if self.tau0 is None:
             object.__setattr__(self, "tau0", float(self.m))
+        if not all(math.isfinite(v) and v > 0 for v in (self.G, self.tau0)):
+            raise ValueError(f"G and tau0 (default m) must be > 0 and finite, "
+                             f"got G={self.G}, tau0={self.tau0}")
 
 
 @dataclass(frozen=True)

@@ -178,20 +178,20 @@ def best_permutation_bruteforce(records, n: int) -> tuple[Permutation, float]:
     return Permutation(n=n, mapping=tuple(ranks[best].tolist())), loss
 
 
-def _cap_trace_norm(W: np.ndarray, tau0: float) -> np.ndarray:
-    """Shrink singular values (l1-ball projection) so their sum is <= tau0."""
-    U, s, Vt = np.linalg.svd(W, full_matrices=False)
-    if s.sum() <= tau0:
-        return W
-    # Euclidean projection of the spectrum onto the simplex-scaled l1 ball.
-    u = np.sort(s)[::-1]
-    css = np.cumsum(u)
-    # Index 0 passes in exact arithmetic but fails once u[0] - tau0 rounds to u[0].
-    passing = np.flatnonzero(u * np.arange(1, len(u) + 1) > (css - tau0))
+def _clip_spectrum(V: np.ndarray, excess: float) -> tuple[np.ndarray, float]:
+    """V with its singular values clipped at the level theta >= 0 whose
+    excess above it sums to `excess`, and the clip's operator norm
+    min(sigma_max(V), theta). theta is 0, and the clip 0, once
+    ||V||_* <= excess. By the Moreau decomposition the clip is V minus
+    V's projection onto the trace-norm ball of radius `excess`."""
+    U, s, Vt = np.linalg.svd(V, full_matrices=False)
+    # The capped-simplex threshold; the SVD returns s in descending order.
+    css = np.cumsum(s)
+    # Index 0 passes in exact arithmetic but fails once s[0] - excess rounds to s[0].
+    passing = np.flatnonzero(s * np.arange(1, len(s) + 1) > css - excess)
     rho = passing[-1] if passing.size else 0
-    theta = (css[rho] - tau0) / (rho + 1.0)
-    s = np.maximum(s - theta, 0.0)
-    return (U * s) @ Vt
+    clipped = np.minimum(s, max((css[rho] - excess) / (rho + 1.0), 0.0))
+    return (U * clipped) @ Vt, float(clipped[0])
 
 
 def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarray, float]:
@@ -201,12 +201,13 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarra
     Solves min <C, W> over the class, where C holds each entry's sum of
     linear coefficients, by Chambolle & Pock's primal-dual method
     (J. Math. Imaging Vis. 40, 2011) with primal step t = 1/max|C| and
-    dual step 1/t. Each iterate, scaled into the trace-norm ball, is a
+    dual step 1/t; the dual step is one singular-value clip, which also
+    gives ||Z||_op. Each iterate, scaled into the trace-norm ball, is a
     member of the class; any dual Z gives the lower bound
-    -tau0 ||Z||_op - ||C + Z||_1. The loop stops once the member's loss is
-    within CF_GAP_TOL (1 + |loss|) of that bound, or after CF_MAX_ITERS
-    iterations, and returns the member and its loss. A loss of any other
-    kind raises ValueError.
+    -tau0 ||Z||_op - ||C + Z||_1. The loop stops once the member's loss
+    <C, W> is within CF_GAP_TOL (1 + |loss|) of that bound, or after
+    CF_MAX_ITERS iterations, and returns the member and that loss. A loss
+    of any other kind raises ValueError.
     """
     C = np.zeros((m, n))
     for (i, j), lf in records:
@@ -219,17 +220,16 @@ def best_cf_subgradient(records, m: int, n: int, tau0: float) -> tuple[np.ndarra
     t = 1.0 / scale
     W, W_bar, Z = np.zeros((m, n)), np.zeros((m, n)), np.zeros((m, n))
     for _ in range(CF_MAX_ITERS):
-        V = Z + W_bar / t
-        Z = V - _cap_trace_norm(V * t, tau0) / t
+        Z, op = _clip_spectrum(Z + W_bar / t, tau0 / t)
         W_new = np.clip(W - t * (Z + C), -1.0, 1.0)
         W_bar, W = 2.0 * W_new - W, W_new
         norm = trace_norm(W)
         member = W if norm <= tau0 else W * (tau0 / norm)
         loss = float(np.sum(C * member))
-        dual = -tau0 * np.linalg.norm(Z, 2) - np.abs(C + Z).sum()
+        dual = -tau0 * op - np.abs(C + Z).sum()
         if loss - dual <= CF_GAP_TOL * (1.0 + abs(loss)):
             break
-    return member, float(comparator_matrix_value(records, member))
+    return member, loss
 
 
 def comparator_matrix_value(records, W: np.ndarray) -> float:

@@ -418,6 +418,10 @@ class TestExitCodes:
         ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e-200"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e-160"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "1e-300", "--G", "1e150"),
+        # --G and --tau0 are checked on the problems whose configs never read them
+        ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--G", "nan"),
+        ("run", "--problem", "gambling", "--n", "4", "--T", "5", "--G", "-3", "--tau0", "nan"),
+        ("lowerbound", "--problem", "maxcut", "--n", "4", "--T", "8", "--G", "inf", "--tau0", "-1"),
     ])
     def test_usage_error(self, argv, tmp_path, capsys):
         # In process: an uncaught exception fails the test as a traceback would.
@@ -444,6 +448,11 @@ class TestExitCodes:
         assert f"error: cannot write {path}{written}" in res.stderr
         assert "Traceback" not in res.stderr
         assert "cumulative loss" not in res.stdout and "valid" not in res.stdout
+
+    def test_allocation_failure_is_error_line(self, capsys):
+        # The first 2^29 x 2^29 matrix (2 EiB) is refused before anything large is allocated.
+        assert main(["decompose", "triangular", "--k", "30"]) == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
     def test_usage_error_after_path_check_leaves_no_file(self, tmp_path):
         # --out is probed before the comparator's size limit is checked.

@@ -11,6 +11,7 @@ from matpred.omp import CLAMP_SLACK
 from matpred.problems import (
     CF_GAP_TOL,
     LossFn,
+    _clip_spectrum,
     best_cf_subgradient,
     best_cut_bruteforce,
     best_permutation_bruteforce,
@@ -215,6 +216,28 @@ def test_comparators_reject_entry_that_would_wrap(pair):
                     lambda: maxcut_weights(halved, 2)):
         with pytest.raises(IndexError, match="outside"):
             compute()
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (6, 4), (16, 16)])
+@pytest.mark.parametrize("excess", ["half", "twice", "tiny"])
+def test_clip_spectrum(shape, excess):
+    # The CF comparator's dual step. sigma_max is scaled to about
+    # 4.25 = 1.0625 * 2^2, where 1e-16 sigma_max is under half an ulp, so
+    # "tiny" takes the threshold's fallback: index 0 fails once
+    # s[0] - excess rounds to s[0].
+    V = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
+    V *= 4.25 / np.linalg.norm(V, 2)
+    s = np.linalg.svd(V, compute_uv=False)
+    level = {"half": 0.5 * s.sum(), "twice": 2.0 * s.sum(), "tiny": 1e-16 * s[0]}[excess]
+    if excess == "tiny":
+        assert s[0] - level == s[0]
+    Z, op = _clip_spectrum(V, level)
+    if excess == "twice":
+        assert op == 0.0 and not Z.any()
+    assert op == pytest.approx(np.linalg.norm(Z, 2), rel=1e-12)
+    assert trace_norm(V - Z) == pytest.approx(min(level, s.sum()), abs=1e-12 * s.sum())
+    np.testing.assert_allclose(np.linalg.svd(Z, compute_uv=False), np.minimum(s, op),
+                               atol=1e-12 * s[0])
 
 
 class TestBestCf:
