@@ -38,19 +38,21 @@ def _sign(x: float) -> float:
     return 1.0 if x >= 0 else -1.0
 
 
+def _interval_rounds(rng: np.random.Generator, pairs, length: int, loss) -> tuple:
+    """One interval of `length` rounds per pair, in the pairs' order; a
+    round's loss is `loss` of a Rademacher sign, an interval's signs drawn
+    in one call."""
+    return tuple((pair, loss(float(s))) for pair in pairs for s in rng.choice([-1.0, 1.0], size=length))
+
+
 def maxcut_lb(n: int, T: int, seed: int) -> Sequence:
     """The interval adversary: n/2 blocks of length 2T/n, block i querying
     the fixed pair (i, i + n/2) with independent Rademacher labels."""
     if n % 2 != 0 or T % (n // 2) != 0:
         raise ValueError("need n even and T divisible by n/2")
-    rng = _rng(seed)
-    block = 2 * T // n
-    rounds = []
-    for i in range(1, n // 2 + 1):
-        labels = rng.choice([-1.0, 1.0], size=block)
-        for y in labels:
-            rounds.append(((i, i + n // 2), LossFn("absolute_halved", float(y))))
-    return Sequence(m=n, n=n, rounds=tuple(rounds))
+    pairs = [(i, i + n // 2) for i in range(1, n // 2 + 1)]
+    rounds = _interval_rounds(_rng(seed), pairs, 2 * T // n, lambda y: LossFn("absolute_halved", y))
+    return Sequence(m=n, n=n, rounds=rounds)
 
 
 def cf_lb(m: int, n: int, tau0: float, G: float, T: int, seed: int) -> Sequence:
@@ -66,15 +68,9 @@ def cf_lb(m: int, n: int, tau0: float, G: float, T: int, seed: int) -> Sequence:
         raise ValueError("tau0/sqrt(n) exceeds m")
     if T % intervals != 0:
         raise ValueError(f"need T divisible by tau0*sqrt(n) = {intervals}")
-    length = T // intervals
-    rng = _rng(seed)
-    rounds = []
-    for i in range(1, rows + 1):
-        for j in range(1, n + 1):
-            sigmas = rng.choice([-1.0, 1.0], size=length)
-            for s in sigmas:
-                rounds.append(((i, j), LossFn("linear", float(s) * G)))
-    return Sequence(m=m, n=n, rounds=tuple(rounds))
+    pairs = [(i, j) for i in range(1, rows + 1) for j in range(1, n + 1)]
+    rounds = _interval_rounds(_rng(seed), pairs, T // intervals, lambda s: LossFn("linear", s * G))
+    return Sequence(m=m, n=n, rounds=rounds)
 
 
 def cf_lb_comparator(seq: Sequence, tau0: float, G: float) -> np.ndarray:

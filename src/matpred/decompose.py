@@ -4,8 +4,10 @@ A decomposition certifies that the symmetrization of a structured matrix can
 be written as P - N with both parts positive semidefinite, diagonals bounded
 by beta, and trace sum bounded by tau. Three comparison classes get
 canonical constructors here: cut matrices, bounded-trace-norm matrices, and
-permutation / triangular matrices (via the recursive construction on
-power-of-two sizes).
+permutation / triangular matrices. The last two share one construction: the
+comparison matrix of n ranks is its diagonal plus an all-ones block for each
+dyadic pair of rank intervals, and each block adds one rank-one term to P and
+two to N (n padded up to a power of two 2^k gives beta = k + 1).
 
 Index conventions on the API surface are 1-based (cut members, permutation
 values); storage is 0-based.
@@ -13,7 +15,6 @@ values); storage is 0-based.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,43 +140,41 @@ def singular_values_T(n: int) -> np.ndarray:
     return 1.0 / (2.0 * np.cos(k * np.pi / (2 * n + 1)))
 
 
-@functools.lru_cache(maxsize=None)
-def _triangular_pn(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive (P, N) for the block-symmetrized triangular matrix T_{2^k}.
+def _dyadic(ranks, k: int) -> Decomposition:
+    """(k+1, 4 2^k (k+1))-decomposition of sym(W), W(i, j) = 1 iff ranks[i] <= ranks[j].
 
-    Base case: sym(T_1) = [[0,1],[1,0]] = ones(2,2) - I. Level k is
-    P = kron(e e.T, J) + phi(P_{k-1}), N = kron(diag e, J) + phi(N_{k-1})
-    with e = (1,0,0,1), J the h x h ones matrix (h = 2^(k-1)) and phi
-    taking h x h quadrants [[A, B], [C, D]] to [[I2 x A, I2 x B], [I2 x C,
-    I2 x D]] (x the Kronecker product). Diagonals are bounded by k + 1.
+    The ranks are 0..n-1 in some order, n <= 2^k. W is its diagonal (n 1 x 1
+    blocks) plus one all-ones block for each dyadic pair of rank intervals
+    [r, r+h) x [r+h, r+2h), h = 1, 2, ..., 2^(k-1). With x the block's row
+    indicator and y its column indicator shifted into sym(W)'s lower half,
+    sym(x y.T) = (x+y)(x+y).T - x x.T - y y.T, so each block adds (x+y)(x+y).T
+    to P and x x.T + y y.T to N. Each index lies in its diagonal block and in
+    at most one block per level, so both diagonals are at most k + 1 and the
+    trace sum at most 4n(k + 1). P and N are allocated before any block is
+    listed.
     """
-    if k == 0:
-        P, N = np.ones((2, 2)), np.eye(2)
-    else:
-        h = 2 ** (k - 1)
-        e = np.array([1.0, 0.0, 0.0, 1.0])
-        J = np.ones((h, h))
-
-        def phi(M):
-            I2 = np.eye(2)
-            return np.block([[np.kron(I2, M[:h, :h]), np.kron(I2, M[:h, h:])],
-                             [np.kron(I2, M[h:, :h]), np.kron(I2, M[h:, h:])]])
-
-        Pp, Np = _triangular_pn(k - 1)
-        P = np.kron(np.outer(e, e), J) + phi(Pp)
-        N = np.kron(np.diag(e), J) + phi(Np)
-    P.setflags(write=False)
-    N.setflags(write=False)
-    return P, N
+    n = len(ranks)
+    try:
+        P, N = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
+    except ValueError as exc:  # numpy refuses a byte count beyond its index range
+        raise MemoryError(f"Unable to allocate P and N of order {2 * n}") from exc
+    at = np.argsort(ranks)  # at[q] is the index of rank q
+    blocks = [(at[q:q + 1], n + at[q:q + 1]) for q in range(n)]
+    for h in (2 ** j for j in range(k)):
+        blocks += [(at[r:r + h], n + at[r + h:r + 2 * h]) for r in range(0, n, 2 * h)]
+    for x, y in blocks:
+        xy = np.concatenate([x, y])
+        P[np.ix_(xy, xy)] += 1.0
+        N[np.ix_(x, x)] += 1.0
+        N[np.ix_(y, y)] += 1.0
+    return Decomposition(P=P, N=N, beta=float(k + 1), tau=float(4 * 2 ** k * (k + 1)))
 
 
 def decompose_triangular(k: int) -> Decomposition:
     """(k+1, 4n(k+1))-decomposition of sym(T_n) for n = 2^k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    P, N = _triangular_pn(k)
-    n = 2 ** k
-    return Decomposition(P=P.copy(), N=N.copy(), beta=float(k + 1), tau=float(4 * n * (k + 1)))
+    return _dyadic(range(2 ** k), k)  # a range holds no array of 2^k ranks before P and N exist
 
 
 def perm_matrix(pi: Permutation) -> np.ndarray:
@@ -197,19 +196,12 @@ def padded_size(n: int) -> tuple[int, int]:
 
 
 def decompose_permutation(pi: Permutation) -> Decomposition:
-    """Decomposition of sym(W_pi) by conjugating the triangular construction.
+    """Decomposition of sym(W_pi), the dyadic construction on pi's ranks.
 
-    Pads n up to n' = 2^k, takes the principal submatrix of the triangular
-    decomposition on the 2n indices of sym(T_n) and conjugates it by
-    diag(P_pi, P_pi): rows and columns indexed by (pi - 1, n' + pi - 1).
-    The guaranteed bounds are beta = k + 1 and tau = 4 n' (k + 1).
+    With n padded up to n' = 2^k, the guaranteed bounds are those of the
+    triangular class of order n': beta = k + 1 and tau = 4 n' (k + 1).
     """
-    nprime, k = padded_size(pi.n)
-    base = decompose_triangular(k)
-    vals = np.array(pi.mapping) - 1
-    idx = np.concatenate([vals, nprime + vals])
-    rows_cols = np.ix_(idx, idx)
-    return Decomposition(P=base.P[rows_cols], N=base.N[rows_cols], beta=base.beta, tau=base.tau)
+    return _dyadic(np.array(pi.mapping) - 1, padded_size(pi.n)[1])
 
 
 def hadamard(n: int) -> np.ndarray:

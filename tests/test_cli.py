@@ -450,7 +450,7 @@ class TestExitCodes:
         assert "cumulative loss" not in res.stdout and "valid" not in res.stdout
 
     def test_allocation_failure_is_error_line(self, capsys):
-        # The first 2^29 x 2^29 matrix (2 EiB) is refused before anything large is allocated.
+        # The first allocation, the 2^31 x 2^31 P (32 EiB), is refused before anything large exists.
         assert main(["decompose", "triangular", "--k", "30"]) == 1
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
 

@@ -13,6 +13,7 @@ from matpred.decompose import (
     decompose_trace_norm,
     decompose_triangular,
     hadamard,
+    padded_size,
     perm_matrix,
     singular_values_T,
     triangular,
@@ -160,8 +161,8 @@ class TestDecomposeTriangular:
 
     def test_k1_by_hand(self):
         d = decompose_triangular(1)
-        assert d.order == 4
-        assert np.max(np.diag(d.P)) <= 2.0 and np.max(np.diag(d.N)) <= 2.0
+        assert np.array_equal(d.P, [[2, 0, 1, 1], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 0, 2]])
+        assert np.array_equal(d.N, np.diag([2.0, 1.0, 1.0, 2.0]))
         assert np.array_equal(d.P - d.N, sym_block(triangular(2)))
 
     @pytest.mark.parametrize("k", range(6))
@@ -193,7 +194,7 @@ class TestPermutations:
         # Q P_sub Q.T with Q = diag(P_pi, P_pi) and P_sub the principal
         # submatrix of the padded triangular (P, N) on sym(T_n)'s indices
         pi = random_permutation(np.random.default_rng(seed), n)
-        k = int(np.ceil(np.log2(n)))
+        k = padded_size(n)[1]
         base = decompose_triangular(k)
         idx = np.concatenate([np.arange(n), 2 ** k + np.arange(n)])
         Q = np.kron(np.eye(2), pi.matrix())
@@ -205,7 +206,7 @@ class TestPermutations:
         pi = Permutation(4, (1, 2, 3, 4))
         d = decompose_permutation(pi)
         base = decompose_triangular(2)
-        assert np.allclose(d.P, base.P) and np.allclose(d.N, base.N)
+        assert np.array_equal(d.P, base.P) and np.array_equal(d.N, base.N)
 
     def test_n5_validates(self):
         pi = Permutation(5, (3, 1, 4, 5, 2))

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matpred.decompose import CutSet, Permutation, cut_matrix, padded_size, perm_matrix
+from matpred.decompose import (
+    CutSet,
+    Permutation,
+    cut_matrix,
+    decompose_cut,
+    decompose_permutation,
+    padded_size,
+    perm_matrix,
+)
 from matpred.linalg import trace_norm
 from matpred.omp import CLAMP_SLACK
 from matpred.problems import (
@@ -104,6 +112,18 @@ class TestConfigs:
         assert cfg.p == 16 and cfg.prediction_range == (0.0, 1.0)
         # tau / N = beta exactly: initial iterate sits on the diagonal cap
         assert cfg.tau / (2 * cfg.p) == cfg.beta
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_bounds_are_the_certificates(self, n):
+        rng = np.random.default_rng(n)
+        pi = Permutation(n, tuple(int(v) for v in rng.permutation(n) + 1))
+        d = decompose_permutation(pi)
+        cfg = gambling_config(n, T=10)
+        assert (cfg.beta, cfg.tau) == (d.beta, d.tau)
+        c = CutSet(n, frozenset(int(i) + 1 for i in np.flatnonzero(rng.integers(0, 2, n))))
+        d = decompose_cut(c)
+        cfg = maxcut_config(n, T=10)
+        assert (cfg.beta, cfg.tau) == (d.beta, d.tau)
 
     def test_cf(self):
         cfg = cf_config(m=4, n=4, trace_bound=4.0, G=1.0, T=100)
