@@ -72,7 +72,12 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     of a matrix with its own transpose as a symmetric rank-k update, so the
     result is exactly symmetric too.
     """
-    lam, V = np.linalg.eigh(M)
+    return spectral_exp(*np.linalg.eigh(M))
+
+
+def spectral_exp(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp(V diag(lam) V^T) from an eigendecomposition (or a stack of them),
+    by `matrix_exp`'s arithmetic, for a caller that needs the spectrum too."""
     W = V * np.exp(0.5 * lam)[..., None, :]
     return W @ np.swapaxes(W, -1, -2)
 

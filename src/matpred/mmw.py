@@ -16,13 +16,26 @@ only after its own block test has rejected the step. `satisfied` is the
 one feasibility rule: it decides that block test, the dense entry's early
 return and, with complementary slackness, the solver's stop.
 
-The dual has at most a handful of variables, so it is solved by cyclic
-coordinate ascent with scalar bisection; the trace constraint (A = I) has a
-closed-form coordinate update, exp(B - a I) = e^{-a} exp(B) (the trace
-normalisation of Tsuda, Raetsch & Warmuth, JMLR 2005), which also gives
-the sweep's iterate when the trace is its last coordinate. Bisection starts
-from the bracket [0, 1] and doubles its upper end until it holds the root,
-so no dual is capped.
+The dual has at most a handful of variables. One sweep of cyclic
+coordinate ascent starts it: each coordinate but the trace is bisected
+from the bracket [0, 1], whose upper end doubles until it holds the root,
+so no dual is capped; the trace constraint (A = I) has a closed-form
+update, exp(B - a I) = e^{-a} exp(B) (the trace normalisation of Tsuda,
+Raetsch & Warmuth, JMLR 2005), which also gives the sweep's iterate when
+the trace is its last coordinate. When one dual carries the projection, as
+in every active CF and max-cut projection at the default eta, the sweep
+meets the KKT test and ends it. Otherwise projected Newton (Bertsekas, SIAM
+J. Control Optim. 20, 1982) finishes from the sweep's point on all duals
+jointly. Each iterate takes one eigh of log Y - sum alpha_j A_j, which
+gives X, the gradient b - A . X and the Hessian by Daleckii-Krein divided
+differences (Higham, Functions of Matrices, 2008, ch. 3); the box QP of the
+Newton model is solved exactly over every free set, and an Armijo search on
+the dual objective takes the step. Coupled duals, which a cyclic sweep only
+creeps along, so converge in a few iterations.
+
+No exp is taken of a spectrum whose trace would overflow: bisection reads
+such a point as beyond its root, and the line search as an infinite dual
+objective.
 """
 
 from __future__ import annotations
@@ -32,11 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import inner, matrix_exp, matrix_log
+from .linalg import inner, matrix_log, spectral_exp
 
-# The dual solver's relative KKT tolerance and sweep cap (see project_qre_log).
+# The dual solver's relative KKT tolerance and its cap on Newton iterations
+# after the sweep (see project_qre_log).
 PROJECTION_TOL = 1e-7
-MAX_SWEEPS = 200
+MAX_NEWTON = 50
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class ProjectionError(RuntimeError):
@@ -106,61 +121,161 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     Returns (X*, duals): X* = exp(logY - sum alpha_j A_j) is positive
     definite, primal feasible and complementary slack, both within
     PROJECTION_TOL * (1 + |b_j|) per constraint. There is no shortcut for a
-    feasible Y: the caller tests feasibility first. Raises ProjectionError
-    after MAX_SWEEPS sweeps.
+    feasible Y: the caller tests feasibility first. One coordinate sweep
+    runs first; if it misses the KKT test, projected Newton finishes, and
+    raises ProjectionError after MAX_NEWTON iterations.
     """
-    alpha = np.zeros(len(cs.constraints))
+    b = np.array([c.b for c in cs.constraints])
+    alpha = np.zeros(len(b))
     identity = np.eye(len(logY))
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
 
     weighted = np.zeros_like(logY)
-    for _ in range(MAX_SWEEPS):
-        for j, c in enumerate(cs.constraints):
-            B = logY - (weighted - alpha[j] * c.A)
-            if is_identity[j]:
-                # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
-                # closed form.
-                exp_B = matrix_exp(B)
-                tr = float(np.trace(exp_B))
-                new = 0.0 if tr <= c.b else float(np.log(tr / c.b))
-            else:
-                new = _bisect_coordinate(B, c)
-            weighted = weighted + (new - alpha[j]) * c.A
-            alpha[j] = new
-        if is_identity[-1]:
-            # The sweep ended on the trace: logY - weighted is its B - a I.
-            X = np.exp(-alpha[-1]) * exp_B
+    for j, c in enumerate(cs.constraints):
+        B = logY - weighted
+        if is_identity[j]:
+            # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
+            # closed form.
+            lam, V = _spectrum(B)
+            exp_B = spectral_exp(lam, V)
+            tr = float(np.trace(exp_B))
+            alpha[j] = 0.0 if tr <= c.b else float(np.log(tr / c.b))
         else:
-            X = matrix_exp(logY - weighted)
-        vals = np.array([inner(c.A, X) for c in cs.constraints])
-        slack = max(alpha[j] * (c.b - vals[j]) / (1.0 + abs(c.b))
-                    for j, c in enumerate(cs.constraints))
-        if all(satisfied(v, c.b) for v, c in zip(vals, cs.constraints)) and slack <= PROJECTION_TOL:
-            return X, alpha
+            alpha[j] = _bisect_coordinate(B, c)
+        weighted = weighted + alpha[j] * c.A
+    if is_identity[-1]:
+        # The sweep ended on the trace: logY - weighted is its B - a I.
+        lam = lam - alpha[-1]
+        X = np.exp(-alpha[-1]) * exp_B
+    else:
+        lam, V = _spectrum(logY - weighted)
+        X = spectral_exp(lam, V)
+    vals = np.array([inner(c.A, X) for c in cs.constraints])
+    if _converged(vals, alpha, b):
+        return X, alpha
+    return _newton(logY, np.array([c.A for c in cs.constraints]), b, alpha, lam, V)
+
+
+def _converged(vals: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> bool:
+    """The solver's stop: every constraint `satisfied` and complementary
+    slackness within PROJECTION_TOL."""
+    return all(map(satisfied, vals, b)) and _slackness(vals, alpha, b) <= PROJECTION_TOL
+
+
+def _slackness(vals: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> float:
+    """The largest alpha_j (b_j - A_j . X) / (1 + |b_j|)."""
+    return float(np.max(alpha * (b - vals) / (1.0 + np.abs(b))))
+
+
+def _exp_overflows(lam: np.ndarray) -> bool:
+    """Whether Tr exp of a matrix with (ascending) eigenvalues lam may
+    exceed the float range."""
+    return lam[-1] > _LOG_MAX - math.log(len(lam))
+
+
+def _spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the symmetric M, whose exp the sweep must take."""
+    lam, V = np.linalg.eigh(M)
+    if _exp_overflows(lam):
+        raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
+    return lam, V
+
+
+def _newton(logY: np.ndarray, A: np.ndarray, b: np.ndarray, alpha: np.ndarray,
+            lam: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected Newton on the dual F(alpha) = Tr exp(logY - alpha . A) +
+    alpha . b over alpha >= 0, from alpha, where logY - alpha . A = V
+    diag(lam) V^T; A is the (k, N, N) stack of constraint matrices."""
+    flat = A.reshape(len(A), -1)
+    F = np.exp(lam).sum() + alpha @ b
+    for _ in range(MAX_NEWTON):
+        # Each A_j in the iterate's eigenbasis: A_j . X is its diagonal
+        # against exp(lam).
+        M = V.T @ A @ V
+        vals = M.diagonal(axis1=1, axis2=2) @ np.exp(lam)
+        if _converged(vals, alpha, b):
+            return spectral_exp(lam, V), alpha
+        grad = b - vals
+        Mf = M.reshape(len(A), -1)
+        H = (Mf * _exp_divided_differences(lam).reshape(-1)) @ Mf.T
+        d = _box_newton_step(0.5 * (H + H.T), grad, alpha)
+        decrease = grad @ d
+        # Once the predicted decrease is below F's round-off, Armijo can no
+        # longer tell a step from noise: take the full step.
+        roundoff = abs(decrease) <= 1e-11 * (1.0 + abs(F))
+        t = 1.0
+        for _ in range(64):
+            trial = alpha + t * d
+            lam_t, V_t = np.linalg.eigh(logY - (trial @ flat).reshape(logY.shape))
+            if not _exp_overflows(lam_t):
+                F_t = np.exp(lam_t).sum() + trial @ b
+                if roundoff or F_t <= F + 1e-4 * t * decrease:
+                    break
+            t *= 0.5
+        else:
+            raise ProjectionError(f"projected Newton line search failed at duals {alpha}")
+        alpha, lam, V, F = trial, lam_t, V_t, F_t
     raise ProjectionError(
         f"projection did not converge: constraint values {vals}, "
-        f"complementary slackness {slack:.3e}, duals {alpha}"
+        f"complementary slackness {_slackness(vals, alpha, b):.3e}, duals {alpha}"
     )
+
+
+def _exp_divided_differences(lam: np.ndarray) -> np.ndarray:
+    """(e^lam_p - e^lam_q) / (lam_p - lam_q), and e^lam_p where they are
+    equal, as e^max(lam_p, lam_q) (1 - e^-|gap|) / |gap|: no exp overflows
+    and close eigenvalues lose no digits."""
+    gap = np.abs(lam[:, None] - lam[None, :])
+    ratio = np.where(gap > 0.0, -np.expm1(-gap) / np.where(gap > 0.0, gap, 1.0), 1.0)
+    return np.exp(np.maximum(lam[:, None], lam[None, :])) * ratio
+
+
+def _box_newton_step(H: np.ndarray, g: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The step d minimizing g . d + d . H d / 2 subject to alpha + d >= 0.
+
+    Each choice of free coordinates, the others going to 0, has one
+    stationary point; the feasible one of least model value is the box
+    optimum. One eigh solves every free set's system at once, each embedded
+    with a unit block on its fixed coordinates. Its eigenvalue floor damps
+    the singular directions (E and -E are collinear, and at p = 2 so are D
+    and I): a step along one leaves the box, so that free set loses.
+    """
+    k = len(g)
+    free = (np.arange(2 ** k)[:, None] >> np.arange(k) & 1).astype(bool)
+    fixed_step = np.where(free, 0.0, -alpha)
+    rhs = np.where(free, g + fixed_step @ H, 0.0)
+    scale = H.diagonal().max()
+    systems = (np.where(free[:, :, None] & free[:, None, :], H, 0.0)
+               + scale * np.eye(k) * ~free[:, None, :])
+    w, U = np.linalg.eigh(systems)
+    w = np.maximum(w, 1e-12 * scale)
+    sol = U @ ((np.swapaxes(U, 1, 2) @ rhs[..., None]) / w[..., None])
+    steps = np.where(free, -sol[..., 0], fixed_step)
+    model = steps @ g + 0.5 * np.sum((steps @ H) * steps, axis=1)
+    model[(alpha + steps < 0.0).any(axis=1)] = np.inf
+    return steps[np.argmin(model)]
 
 
 def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
     """Solve A . exp(B - a A) = b for a >= 0, starting from the bracket
     [0, 1]. The gradient is monotone decreasing in a: hi doubles until
-    the gradient there is <= 0, or not finite (exp overflowed), then plain
-    bisection applies. A gradient still positive after 64 doublings leaves
-    the root at hi; the final KKT check reports if this is a failure.
+    the gradient there is <= 0, then plain bisection applies. A point whose
+    exp would overflow lies beyond the root, so its gradient reads -inf. A
+    gradient still positive after 64 doublings leaves the root at hi; the
+    final KKT check reports if this is a failure.
     A midpoint a is taken once |g| max(1, a) <= gtol: complementary
     slackness weighs the gradient by the dual, so a dual above 1 needs a
     gradient that much smaller."""
 
     def g(a):
-        return inner(c.A, matrix_exp(B - a * c.A)) - c.b
+        lam, V = np.linalg.eigh(B - a * c.A)
+        return -np.inf if _exp_overflows(lam) else inner(c.A, spectral_exp(lam, V)) - c.b
 
     gtol = 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
     if g(0.0) <= gtol:
         return 0.0
     hi = 1.0
-    while hi < 2.0 ** 64 and 0.0 < g(hi) < np.inf:
+    while hi < 2.0 ** 64 and g(hi) > 0.0:
         hi *= 2.0
     lo_a, hi_a = 0.0, hi
     for _ in range(80):

@@ -103,6 +103,30 @@ class TestProjectGeneral:
         assert np.allclose(X, X_want, rtol=0.0, atol=1e-7)
         assert alpha[0] == pytest.approx(dual, rel=0.0, abs=1e-7)
 
+    def test_coupled_duals_by_hand(self, monkeypatch):
+        # Y = diag(8, 1, 1) with X11 <= 1 and Tr X <= 1.5 gives X = diag(1,
+        # 1/4, 1/4) with duals (log 2, log 4). The sweep bisects X11 alone to
+        # log 8, then the trace to log 2, which leaves X11 = 0.5 < 1 with a
+        # positive dual: the Newton finish must run. It takes at most 8
+        # eigh of order 3 beyond the sweep, which costs what projecting onto
+        # X11 <= 1 alone costs (its bisection and one exp).
+        log_Y = np.diag(np.log([8.0, 1.0, 1.0]))
+        x11 = LinConstraint(A=np.diag([1.0, 0.0, 0.0]), b=1.0)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(M):
+            calls.append(M.shape == (3, 3))
+            return eigh(M)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        project_qre_log(log_Y, ConstraintSet(constraints=(x11,), tau=1.5))
+        sweep = sum(calls)
+        calls.clear()
+        X, alpha = project_qre_log(
+            log_Y, ConstraintSet(constraints=(x11, LinConstraint(A=np.eye(3), b=1.5)), tau=1.5))
+        assert np.allclose(X, np.diag([1.0, 0.25, 0.25]), rtol=0.0, atol=1e-7)
+        assert np.allclose(alpha, np.log([2.0, 4.0]), rtol=0.0, atol=1e-7)
+        assert sum(calls) <= sweep + 8
+
     def test_trace_closed_form_iterate(self):
         # With the trace last (K_t's order D, E, -E, I) a sweep's iterate is
         # e^{-a} exp(B) from the trace coordinate; it is exp(log Y - sum

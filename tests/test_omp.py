@@ -307,18 +307,27 @@ def test_log_iterate_keeps_block_structure(problem):
 
 
 @pytest.mark.parametrize("problem, n, eta", [
-    ("gambling", 4, 10.0), ("gambling", 4, 30.0), ("gambling", 8, 10.0), ("gambling", 8, 30.0),
-    ("cf", 8, 100.0),
+    (problem, n, eta) for problem in sorted(PROBLEMS) for n in (4, 8) for eta in (10.0, 30.0, 100.0)
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_large_eta_projects(problem, n, eta):
-    # A large eta gives duals above 1, which bisection must hold to a
-    # gradient scaled down by the dual for the sweep's slackness test to
-    # pass. Left out, since cyclic coordinate ascent does not converge on
-    # their coupled D and I duals within the sweep cap: max-cut n = 4 at
-    # eta >= 30 and n = 8 at eta = 100, gambling at eta = 100. Also left
-    # out: CF n = 4 at eta >= 30, where g(0) of a coordinate whose dual has
-    # diverged overflows in exp.
+def test_large_eta_projects(problem, n, eta, monkeypatch):
+    # An eta override far above the default leaves the sweep unconverged in
+    # many projections: two duals coupled (E or -E with I, D with I), or a
+    # dual that bisection set and the optimum does not use. The Newton
+    # finish solves all duals jointly. Gambling n = 4 at eta 100 bisects
+    # past exp's range, which must be decided without taking exp (a
+    # RuntimeWarning fails the test). Every active projection meets KKT,
+    # checked here on the returned point.
+    project = omp.project_qre
+
+    def checked(log_Y, cs):
+        X, duals = project(log_Y, cs)
+        for a, c in zip(duals, cs.constraints):
+            value = inner(c.A, X)
+            assert a >= 0.0 and value <= c.b + 1e-6 * (1 + abs(c.b))
+            assert a * (c.b - value) <= 1e-6 * (1 + abs(c.b))
+        return X, duals
+    monkeypatch.setattr(omp, "project_qre", checked)
     p = Params(n=n, T=50, eta=eta)
     entry = PROBLEMS[problem]
     session, _ = run_learner(entry.config(p), entry.adversary(p, 1))
