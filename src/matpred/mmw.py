@@ -17,21 +17,25 @@ one feasibility rule: it decides that block test, the dense entry's early
 return and, with complementary slackness, the solver's stop.
 
 The dual has at most a handful of variables. One sweep of cyclic
-coordinate ascent starts it: each coordinate but the trace is bisected
-from the bracket [0, 1], whose upper end doubles until it holds the root,
-so no dual is capped; the trace constraint (A = I) has a closed-form
-update, exp(B - a I) = e^{-a} exp(B) (the trace normalisation of Tsuda,
-Raetsch & Warmuth, JMLR 2005), which also gives the sweep's iterate when
-the trace is its last coordinate. When one dual carries the projection, as
-in every active CF and max-cut projection at the default eta, the sweep
-meets the KKT test and ends it. Otherwise projected Newton (Bertsekas, SIAM
-J. Control Optim. 20, 1982) finishes from the sweep's point on all duals
-jointly. Each iterate takes one eigh of log Y - sum alpha_j A_j, which
-gives X, the gradient b - A . X and the Hessian by Daleckii-Krein divided
-differences (Higham, Functions of Matrices, 2008, ch. 3); the box QP of the
-Newton model is solved exactly over every free set, and an Armijo search on
-the dual objective takes the step. Coupled duals, which a cyclic sweep only
-creeps along, so converge in a few iterations.
+coordinate ascent starts it, and bisects at most one dual: each
+coordinate but the trace is bisected until one has a positive dual, from
+the bracket [0, 1], whose upper end doubles until it holds the root, so no
+dual is capped, and a later one is only tested at zero; the trace
+constraint (A = I) has a closed-form update, exp(B - a I) = e^{-a}
+exp(B) (the trace normalisation of Tsuda, Raetsch & Warmuth, JMLR 2005),
+which also gives the sweep's iterate when the trace is its last
+coordinate. When one dual carries the projection, as in every active CF
+and max-cut projection at the default eta, the sweep meets the KKT test
+and ends it. Otherwise projected Newton (Bertsekas, SIAM J. Control Optim.
+20, 1982) finishes on all duals jointly: from the sweep's point, or, when
+a coordinate after a positive bisected dual is violated at zero, from the
+trace-closed point of that coordinate's test, whose eigh gives Newton's
+first iterate. Each iterate takes one eigh of log Y - sum alpha_j A_j,
+which gives X, the gradient b - A . X and the Hessian by Daleckii-Krein
+divided differences (Higham, Functions of Matrices, 2008, ch. 3); the box
+QP of the Newton model is solved exactly over every free set, and an
+Armijo search on the dual objective takes the step. Coupled duals, which a
+cyclic sweep only creeps along, so converge in a few iterations.
 
 No exp is taken of a spectrum whose trace would overflow: bisection reads
 such a point as beyond its root, and the line search as an infinite dual
@@ -122,8 +126,9 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     definite, primal feasible and complementary slack, both within
     PROJECTION_TOL * (1 + |b_j|) per constraint. There is no shortcut for a
     feasible Y: the caller tests feasibility first. One coordinate sweep
-    runs first; if it misses the KKT test, projected Newton finishes, and
-    raises ProjectionError after MAX_NEWTON iterations.
+    runs first and bisects at most one dual; if a second coordinate is
+    violated, or the sweep misses the KKT test, projected Newton finishes,
+    and raises ProjectionError after MAX_NEWTON iterations.
     """
     b = np.array([c.b for c in cs.constraints])
     alpha = np.zeros(len(b))
@@ -131,6 +136,7 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
 
     weighted = np.zeros_like(logY)
+    bisected = False  # whether a non-trace dual is positive
     for j, c in enumerate(cs.constraints):
         B = logY - weighted
         if is_identity[j]:
@@ -140,8 +146,21 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
             exp_B = spectral_exp(lam, V)
             tr = float(np.trace(exp_B))
             alpha[j] = 0.0 if tr <= c.b else float(np.log(tr / c.b))
-        else:
+        elif not bisected:
             alpha[j] = _bisect_coordinate(B, c)
+            bisected = alpha[j] > 0.0
+        else:
+            # A second non-trace coordinate is only tested at zero. If it
+            # is violated, Newton solves it with the others, from the
+            # point where the trace coordinate is closed on the test's
+            # spectrum: exp(B - a I) has trace e^{-a} sum e^lam.
+            g, lam, V = _coordinate_gradient(B, c, 0.0)
+            if g > _coordinate_tol(c):
+                for t in np.flatnonzero(is_identity):
+                    shift = max(-alpha[t], float(np.log(np.exp(lam).sum() / b[t])))
+                    alpha[t] += shift
+                    lam = lam - shift
+                return _newton(logY, cs, alpha, lam, V)
         weighted = weighted + alpha[j] * c.A
     if is_identity[-1]:
         # The sweep ended on the trace: logY - weighted is its B - a I.
@@ -153,7 +172,7 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     vals = np.array([inner(c.A, X) for c in cs.constraints])
     if _converged(vals, alpha, b):
         return X, alpha
-    return _newton(logY, np.array([c.A for c in cs.constraints]), b, alpha, lam, V)
+    return _newton(logY, cs, alpha, lam, V)
 
 
 def _converged(vals: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> bool:
@@ -181,11 +200,13 @@ def _spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, V
 
 
-def _newton(logY: np.ndarray, A: np.ndarray, b: np.ndarray, alpha: np.ndarray,
+def _newton(logY: np.ndarray, cs: ConstraintSet, alpha: np.ndarray,
             lam: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Projected Newton on the dual F(alpha) = Tr exp(logY - alpha . A) +
     alpha . b over alpha >= 0, from alpha, where logY - alpha . A = V
-    diag(lam) V^T; A is the (k, N, N) stack of constraint matrices."""
+    diag(lam) V^T, A . X <= b being the constraints of cs."""
+    A = np.array([c.A for c in cs.constraints])
+    b = np.array([c.b for c in cs.constraints])
     flat = A.reshape(len(A), -1)
     F = np.exp(lam).sum() + alpha @ b
     for _ in range(MAX_NEWTON):
@@ -256,22 +277,37 @@ def _box_newton_step(H: np.ndarray, g: np.ndarray, alpha: np.ndarray) -> np.ndar
     return steps[np.argmin(model)]
 
 
+def _coordinate_gradient(B: np.ndarray, c: LinConstraint,
+                         a: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The gradient A . exp(B - a A) - b of one coordinate, with the eigh
+    of B - a A it is read from. A point whose exp would overflow lies
+    beyond the coordinate's root (the gradient decreases in a), so its
+    gradient reads -inf."""
+    lam, V = np.linalg.eigh(B - a * c.A)
+    g = -np.inf if _exp_overflows(lam) else inner(c.A, spectral_exp(lam, V)) - c.b
+    return g, lam, V
+
+
+def _coordinate_tol(c: LinConstraint) -> float:
+    """The gradient at which a coordinate counts as solved, and a zero dual
+    as unviolated."""
+    return 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
+
+
 def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
     """Solve A . exp(B - a A) = b for a >= 0, starting from the bracket
     [0, 1]. The gradient is monotone decreasing in a: hi doubles until
-    the gradient there is <= 0, then plain bisection applies. A point whose
-    exp would overflow lies beyond the root, so its gradient reads -inf. A
-    gradient still positive after 64 doublings leaves the root at hi; the
-    final KKT check reports if this is a failure.
+    the gradient there is <= 0, then plain bisection applies. A gradient
+    still positive after 64 doublings leaves the root at hi; the final KKT
+    check reports if this is a failure.
     A midpoint a is taken once |g| max(1, a) <= gtol: complementary
     slackness weighs the gradient by the dual, so a dual above 1 needs a
     gradient that much smaller."""
 
     def g(a):
-        lam, V = np.linalg.eigh(B - a * c.A)
-        return -np.inf if _exp_overflows(lam) else inner(c.A, spectral_exp(lam, V)) - c.b
+        return _coordinate_gradient(B, c, a)[0]
 
-    gtol = 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
+    gtol = _coordinate_tol(c)
     if g(0.0) <= gtol:
         return 0.0
     hi = 1.0

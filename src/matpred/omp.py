@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import matrix_exp
-from .mmw import ConstraintSet, LinConstraint, satisfied
+from .linalg import spectral_exp
+from .mmw import ConstraintSet, LinConstraint, _exp_overflows, satisfied
 # The session keeps log Y, so a round projects with the log-space solver.
 # It keeps the name `project_qre` here, the name perfbench's tracer wraps.
 from .mmw import project_qre_log as project_qre
@@ -196,14 +196,6 @@ def in_Kt(values: tuple[float, ...], cfg: OmpConfig) -> bool:
     return all(map(satisfied, values, _bounds(cfg)))
 
 
-def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
-    """The 4-sparse symmetric loss matrix: +g at (i, j+q) and its mirror,
-    -g at the shifted pair. Traceless, with Tr(L^2) = 4 g^2 and spectral
-    norm |g|."""
-    _check_subgradient(g, cfg)
-    return full_iterate(_pair_term(i, j, cfg, off=g), cfg)
-
-
 def constraints_Kt(i: int, j: int, cfg: OmpConfig) -> ConstraintSet:
     """The four-constraint polytope for the queried entry: diagonal sum
     D . X <= 4 beta, prediction E . X within range, trace <= tau."""
@@ -282,16 +274,24 @@ def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
     """The unprojected update Y = exp(log X - eta L_t) on the block stack,
     returned with log Y.
 
-    L_t = loss_matrix(g, i, j, cfg) is +g at the queried pair of the upper
-    block and -g at that of the lower block (on a non-symmetric class the
-    lower block follows as S upper S): the step subtracts
-    `_pair_term(off=eta g)` and takes one `matrix_exp` of the stack.
+    L_t is +g at the queried pair of the upper block and -g at that of the
+    lower block (on a non-symmetric class the lower block follows as
+    S upper S): the step subtracts `_pair_term(off=eta g)` and takes one
+    eigh of the stack, by `matrix_exp`'s arithmetic. A step whose 2p x 2p
+    iterate would overflow raises InvariantViolation instead.
     """
     if log_X.shape != _block_shape(cfg):
         raise ValueError(f"exp_step: expected blocks of shape {_block_shape(cfg)}, "
                          f"got {log_X.shape}")
     log_Y = log_X - _pair_term(i, j, cfg, off=cfg.eta * g)
-    return matrix_exp(log_Y), log_Y
+    lam, V = np.linalg.eigh(log_Y)
+    # Tr Y of the 2p x 2p iterate is at most 2p e^top, top the stack's
+    # largest eigenvalue.
+    top = lam[:, -1].max()
+    if _exp_overflows(np.full(2 * cfg.p, top)):
+        raise InvariantViolation(f"exp overflows in the step: largest eigenvalue "
+                                 f"{top:.6g} of log Y (eta {cfg.eta:.6g})")
+    return spectral_exp(lam, V), log_Y
 
 
 def entry_index(i: int, j: int, m: int, n: int) -> tuple[int, int]:

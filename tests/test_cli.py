@@ -202,6 +202,15 @@ class TestRunCommand:
             assert rc == 0
             assert "bound satisfied  True" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_overflow_is_an_error_line(self, capsys):
+        # At eta 1000 gambling's step would overflow exp: exit 1 with one
+        # error line, no numpy warning.
+        rc = main(["run", "--problem", "gambling", "--n", "4", "--T", "50",
+                   "--eta", "1000", "--no-comparator"])
+        assert rc == 1
+        assert "error: exp overflows in the step" in capsys.readouterr().err
+
     def test_bad_eta_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "maxcut", "--n", "4", "--T", "10", "--eta", "-1.0"])
