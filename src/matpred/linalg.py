@@ -10,9 +10,15 @@ Matrices are plain float ndarrays. `matrix_exp` returns an exactly
 symmetric result by construction; the other spectral round-trips average
 with the transpose, which removes the slow drift that otherwise
 accumulates.
+
+`exp_overflows` is the one exp-range rule. The exponential (`spectral_exp`,
+and `matrix_exp` through it) refuses a spectrum it flags, and the
+projection's solver reads the same rule before it takes an exp or a trace.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +26,8 @@ import numpy as np
 # projection can push eigenvalues to numerical zero and the iterates must
 # stay inside log's domain.
 LOG_FLOOR_REL = 1e-12
+# exp(x) is finite for every x up to this.
+_EXP_ARG_MAX = math.log(np.finfo(float).max)
 
 
 class DomainError(ValueError):
@@ -70,16 +78,31 @@ def matrix_exp(M: np.ndarray) -> np.ndarray:
     `eigh` reads one triangle of M, so M must be exactly symmetric. The
     result is W W^T with W = V diag(exp(lam / 2)); numpy computes a product
     of a matrix with its own transpose as a symmetric rank-k update, so the
-    result is exactly symmetric too.
+    result is exactly symmetric too. A spectrum that `exp_overflows` is
+    refused with OverflowError.
     """
     return spectral_exp(*np.linalg.eigh(M))
 
 
 def spectral_exp(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
     """exp(V diag(lam) V^T) from an eigendecomposition (or a stack of them),
-    by `matrix_exp`'s arithmetic, for a caller that needs the spectrum too."""
+    by `matrix_exp`'s arithmetic, for a caller that needs the spectrum too.
+    Raises OverflowError, before any exp is taken, if `exp_overflows(lam)`."""
+    if exp_overflows(lam):
+        raise OverflowError(f"exp overflows: largest eigenvalue {lam.max():.6g}")
     W = V * np.exp(0.5 * lam)[..., None, :]
     return W @ np.swapaxes(W, -1, -2)
+
+
+def exp_overflows(lam: np.ndarray) -> bool:
+    """The exp-range rule: whether the exp of a symmetric matrix with
+    eigenvalues lam, or of a stack of them (lam of shape (k, d)), may leave
+    the float range. Its trace, summed over the stack, is at most lam.size
+    e^max(lam), and every entry at most e^max(lam); the rule flags that
+    bound past the largest float."""
+    # lam.flat[lam.argmax()] is lam.max() at half the cost on these short
+    # arrays; the solver reads this rule about 50 times a gambling round.
+    return lam.flat[lam.argmax()] > _EXP_ARG_MAX - math.log(lam.size)
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:
@@ -119,8 +142,7 @@ def qre(X: np.ndarray, A: np.ndarray) -> float:
         raise ValueError(f"qre: order mismatch {X.shape} vs {A.shape}")
     lam, _ = eig_sym(X)
     lam = np.maximum(lam, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(lam > 0.0, lam * np.log(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    tr_xlogx = float(np.sum(xlogx))
+    # 0 log 0 = 0: a zero eigenvalue is multiplied by log 1.
+    tr_xlogx = float(np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0))))
     tr_xloga = inner(X, matrix_log(A))
     return tr_xlogx - tr_xloga - float(np.trace(X)) + float(np.trace(A))

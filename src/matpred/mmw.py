@@ -37,9 +37,10 @@ QP of the Newton model is solved exactly over every free set, and an
 Armijo search on the dual objective takes the step. Coupled duals, which a
 cyclic sweep only creeps along, so converge in a few iterations.
 
-No exp is taken of a spectrum whose trace would overflow: bisection reads
-such a point as beyond its root, and the line search as an infinite dual
-objective.
+No exp is taken of a spectrum that `linalg.exp_overflows` flags, one that
+the exponential would refuse: the sweep raises ProjectionError, bisection
+reads such a point as beyond its root, and the line search as an infinite
+dual objective.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import inner, matrix_log, spectral_exp
+from .linalg import exp_overflows, inner, matrix_log, spectral_exp
 
 # The dual solver's relative KKT tolerance and its cap on Newton iterations
 # after the sweep (see project_qre_log).
 PROJECTION_TOL = 1e-7
 MAX_NEWTON = 50
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class ProjectionError(RuntimeError):
@@ -142,8 +142,7 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
         if is_identity[j]:
             # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
             # closed form.
-            lam, V = _spectrum(B)
-            exp_B = spectral_exp(lam, V)
+            lam, V, exp_B = _spectrum(B)
             tr = float(np.trace(exp_B))
             alpha[j] = 0.0 if tr <= c.b else float(np.log(tr / c.b))
         elif not bisected:
@@ -167,8 +166,7 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
         lam = lam - alpha[-1]
         X = np.exp(-alpha[-1]) * exp_B
     else:
-        lam, V = _spectrum(logY - weighted)
-        X = spectral_exp(lam, V)
+        lam, V, X = _spectrum(logY - weighted)
     vals = np.array([inner(c.A, X) for c in cs.constraints])
     if _converged(vals, alpha, b):
         return X, alpha
@@ -186,18 +184,13 @@ def _slackness(vals: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(alpha * (b - vals) / (1.0 + np.abs(b))))
 
 
-def _exp_overflows(lam: np.ndarray) -> bool:
-    """Whether Tr exp of a matrix with (ascending) eigenvalues lam may
-    exceed the float range."""
-    return lam[-1] > _LOG_MAX - math.log(len(lam))
-
-
-def _spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the symmetric M, whose exp the sweep must take."""
+def _spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """eigh of the symmetric M and the exp the sweep takes of it; a
+    spectrum whose exp would overflow is a ProjectionError."""
     lam, V = np.linalg.eigh(M)
-    if _exp_overflows(lam):
+    if exp_overflows(lam):
         raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
-    return lam, V
+    return lam, V, spectral_exp(lam, V)
 
 
 def _newton(logY: np.ndarray, cs: ConstraintSet, alpha: np.ndarray,
@@ -228,7 +221,7 @@ def _newton(logY: np.ndarray, cs: ConstraintSet, alpha: np.ndarray,
         for _ in range(64):
             trial = alpha + t * d
             lam_t, V_t = np.linalg.eigh(logY - (trial @ flat).reshape(logY.shape))
-            if not _exp_overflows(lam_t):
+            if not exp_overflows(lam_t):
                 F_t = np.exp(lam_t).sum() + trial @ b
                 if roundoff or F_t <= F + 1e-4 * t * decrease:
                     break
@@ -284,7 +277,7 @@ def _coordinate_gradient(B: np.ndarray, c: LinConstraint,
     beyond the coordinate's root (the gradient decreases in a), so its
     gradient reads -inf."""
     lam, V = np.linalg.eigh(B - a * c.A)
-    g = -np.inf if _exp_overflows(lam) else inner(c.A, spectral_exp(lam, V)) - c.b
+    g = -np.inf if exp_overflows(lam) else inner(c.A, spectral_exp(lam, V)) - c.b
     return g, lam, V
 
 

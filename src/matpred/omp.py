@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spectral_exp
-from .mmw import ConstraintSet, LinConstraint, _exp_overflows, satisfied
+from .linalg import exp_overflows, matrix_exp
+from .mmw import PROJECTION_TOL, ConstraintSet, LinConstraint, satisfied
 # The session keeps log Y, so a round projects with the log-space solver.
 # It keeps the name `project_qre` here, the name perfbench's tracer wraps.
 from .mmw import project_qre_log as project_qre
@@ -56,6 +56,16 @@ class OmpConfig:
     q is m for a non-symmetric comparison class and 0 for a symmetric one;
     p is the order of the symmetrized matrices; the OLO iterate has order
     N = 2p. gamma is fixed at 4 G^2 by the loss-matrix construction.
+
+    eta G is bounded by the exp range. After any round Tr X <= tau within
+    the projection's tolerance, so log X has no eigenvalue above
+    log(tau + PROJECTION_TOL (1 + tau)), and the step subtracts eta L_t with
+    ||L_t|| <= G. By Weyl the step's log Y has none above that plus eta G.
+    A config is refused (ValueError) when `linalg.exp_overflows` flags an
+    order-2p spectrum at that bound: eta G must stay below log(float max) -
+    log(2p (tau + PROJECTION_TOL (1 + tau))), about 700 on every registered
+    problem. For eta >= 1/G the regret bound's form is at least 2 G T
+    already, so the limit costs no guarantee.
     """
 
     m: int
@@ -91,6 +101,9 @@ class OmpConfig:
             object.__setattr__(self, "eta", eta_default(self.tau, self.p, self.beta, self.G, self.T))
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be > 0 and finite, got eta={self.eta}")
+        top = math.log(self.tau + PROJECTION_TOL * (1.0 + self.tau)) + self.eta * self.G
+        if exp_overflows(np.broadcast_to(top, 2 * self.p)):
+            raise ValueError(f"eta * G = {self.eta * self.G:.6g} is past the step's exp range")
 
     @property
     def q(self) -> int:
@@ -276,22 +289,19 @@ def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
 
     L_t is +g at the queried pair of the upper block and -g at that of the
     lower block (on a non-symmetric class the lower block follows as
-    S upper S): the step subtracts `_pair_term(off=eta g)` and takes one
-    eigh of the stack, by `matrix_exp`'s arithmetic. A step whose 2p x 2p
-    iterate would overflow raises InvariantViolation instead.
+    S upper S): the step subtracts `_pair_term(off=eta g)` and exponentiates
+    the stack with `matrix_exp`, one eigh. OmpConfig's eta G limit keeps
+    every step from a feasible X inside the exp range; should the
+    exponential refuse anyway, that is an InvariantViolation.
     """
     if log_X.shape != _block_shape(cfg):
         raise ValueError(f"exp_step: expected blocks of shape {_block_shape(cfg)}, "
                          f"got {log_X.shape}")
     log_Y = log_X - _pair_term(i, j, cfg, off=cfg.eta * g)
-    lam, V = np.linalg.eigh(log_Y)
-    # Tr Y of the 2p x 2p iterate is at most 2p e^top, top the stack's
-    # largest eigenvalue.
-    top = lam[:, -1].max()
-    if _exp_overflows(np.full(2 * cfg.p, top)):
-        raise InvariantViolation(f"exp overflows in the step: largest eigenvalue "
-                                 f"{top:.6g} of log Y (eta {cfg.eta:.6g})")
-    return spectral_exp(lam, V), log_Y
+    try:
+        return matrix_exp(log_Y), log_Y
+    except OverflowError as exc:
+        raise InvariantViolation(f"the step left the exp range: {exc}") from exc
 
 
 def entry_index(i: int, j: int, m: int, n: int) -> tuple[int, int]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matpred import harness
 from matpred.adversaries import Sequence, random_adversary
 from matpred.cli import (build_parser, main, read_matrix, read_sequence, write_matrix,
                          write_sequence)
@@ -201,15 +202,6 @@ class TestRunCommand:
             rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "5", "--eta", eta])
             assert rc == 0
             assert "bound satisfied  True" in capsys.readouterr().out
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_step_overflow_is_an_error_line(self, capsys):
-        # At eta 1000 gambling's step would overflow exp: exit 1 with one
-        # error line, no numpy warning.
-        rc = main(["run", "--problem", "gambling", "--n", "4", "--T", "50",
-                   "--eta", "1000", "--no-comparator"])
-        assert rc == 1
-        assert "error: exp overflows in the step" in capsys.readouterr().err
 
     def test_bad_eta_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -435,9 +427,16 @@ class TestExitCodes:
         ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--G", "nan"),
         ("run", "--problem", "gambling", "--n", "4", "--T", "5", "--G", "-3", "--tau0", "nan"),
         ("lowerbound", "--problem", "maxcut", "--n", "4", "--T", "8", "--G", "inf", "--tau0", "-1"),
+        # eta * G past the step's exp range (about 700 here): gambling's G is
+        # 1, and cf n = 7 at 715 once failed mid-run in the projection
+        ("run", "--problem", "gambling", "--n", "4", "--T", "50", "--eta", "1000", "--no-comparator"),
+        ("run", "--problem", "cf", "--n", "7", "--T", "50", "--eta", "715", "--no-comparator"),
     ])
-    def test_usage_error(self, argv, tmp_path, capsys):
+    def test_usage_error(self, argv, tmp_path, capsys, monkeypatch):
         # In process: an uncaught exception fails the test as a traceback would.
+        rounds = []
+        play = harness.omp_round
+        monkeypatch.setattr(harness, "omp_round", lambda *a: rounds.append(a) or play(*a))
         for k, arg in enumerate(argv):
             if isinstance(arg, Rows):
                 path = tmp_path / "seq.csv"
@@ -449,6 +448,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "error:" in err
         assert out == ""   # the error comes before any output
+        assert rounds == []   # and before any round
 
     @pytest.mark.parametrize("argv, written", [
         (("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--out"), ""),

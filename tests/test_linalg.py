@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from matpred.linalg import (
     DomainError,
     eig_sym,
+    exp_overflows,
     inner,
     matrix_exp,
     matrix_log,
@@ -124,6 +128,33 @@ class TestMatrixFn:
             vals -= vals.mean()
             E = matrix_exp(np.diag(vals))
             assert abs(np.linalg.det(E) - 1.0) <= 1e-8
+
+    def test_exp_range_boundary(self):
+        # The exp-range rule refuses eigenvalues lam once max(lam) passes
+        # log(float max) - log(lam.size), where Tr exp may leave the float
+        # range: order d for a matrix, 2d for a (2, d, d) stack, whose traces
+        # add up. Just inside, the trace is about float max / lam.size. The
+        # exponential refuses before it takes any exp (a numpy overflow
+        # warning fails the test).
+        rng = np.random.default_rng(6)
+        for d in (3, 16):
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            for k in (1, 2):
+                edge = math.log(sys.float_info.max) - math.log(k * d)
+                for delta in (-1e-9, 1e-9, 300.0):
+                    lam = np.zeros((k, d))
+                    lam[-1, -1] = edge + delta
+                    M = (Q * lam[:, None, :]) @ Q.T
+                    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+                    if k == 1:
+                        lam, M = lam[0], M[0]
+                    assert exp_overflows(lam) == exp_overflows(np.linalg.eigh(M)[0]) == (delta > 0)
+                    if delta > 0:
+                        with pytest.raises(OverflowError, match="exp overflows: largest eigenvalue"):
+                            matrix_exp(M)
+                    else:
+                        trace = np.trace(matrix_exp(M), axis1=-2, axis2=-1).sum()
+                        assert trace == pytest.approx(sys.float_info.max / (k * d), rel=1e-6)
 
 
 class TestTraceNorm:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from matpred.omp import (
     omp_round,
     predict,
 )
-from matpred.problems import LossFn, cf_config, maxcut_config
+from matpred.problems import LossFn, cf_config, gambling_config, maxcut_config
 
 
 def small_cfg(**kw):
@@ -73,6 +75,22 @@ class TestOmpConfig:
                     dict(prediction_range=(-math.inf, 1.0))):
             with pytest.raises(ValueError):
                 OmpConfig(**{**nonsym, **bad})
+        # eta G just past the step's exp-range limit is refused, and just
+        # inside it the config constructs. 1e-12 of eta G is about 7e-10,
+        # well inside the 1e-7 the limit keeps for the trace tolerance.
+        for cfg in (gambling_config(5, T=10), cf_config(7, 7, 7.0, 2.0, T=10)):
+            eta = eta_g_limit(cfg) / cfg.G
+            with pytest.raises(ValueError, match="exp range"):
+                dataclasses.replace(cfg, eta=eta * (1 + 1e-12))
+            assert dataclasses.replace(cfg, eta=eta * (1 - 1e-12)).eta == eta * (1 - 1e-12)
+
+
+def eta_g_limit(cfg: OmpConfig) -> float:
+    """The eta G limit, log(float max) - log(2p (tau + PROJECTION_TOL (1 +
+    tau))): after a round Tr X <= tau within the projection's tolerance,
+    so the step's log Y has no eigenvalue above log(Tr X) + eta G."""
+    tr = cfg.tau + PROJECTION_TOL * (1 + cfg.tau)
+    return math.log(sys.float_info.max) - math.log(2 * cfg.p * tr)
 
 
 def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
@@ -295,6 +313,36 @@ class TestExpStep:
             with pytest.raises(IndexError):
                 exp_step(np.zeros((1, 5, 5)), 0.1, i, j, cfg)
 
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_finite_at_the_eta_limit(self, problem):
+        # At the largest eta OmpConfig admits, from the worst log iterate
+        # with Tr exp = tau (all of it on the eigenvector that the step
+        # raises by eta |g| = eta G), the step stays inside exp's range, and
+        # close to its edge.
+        cfg = PROBLEMS[problem].config(Params(n=4, T=50))
+        lo, hi = (eta_g_limit(cfg) / cfg.G * (1 + s) for s in (-1e-6, 1e-6))
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, eta=hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            try:
+                dataclasses.replace(cfg, eta=mid)
+                lo = mid
+            except ValueError:
+                hi = mid
+        cfg = dataclasses.replace(cfg, eta=lo)
+        for i, j in ((1, 2), (2, 4), (4, 3), (3, 1)):
+            for g in (cfg.G, -cfg.G):
+                raised = np.linalg.eigh(-omp._pair_term(i, j, cfg, off=g)[0])[1][:, -1]
+                # exp(-1000) is 0: the other eigenvalues carry no trace
+                log_X = np.tile(-1000.0 * np.eye(cfg.p), (omp._block_shape(cfg)[0], 1, 1))
+                top = math.log(cfg.tau if cfg.symmetric_class else cfg.tau / 2)
+                log_X[0] += (top + 1000.0) * np.outer(raised, raised)
+                assert block_values(matrix_exp(log_X), i, j, cfg)[3] == pytest.approx(cfg.tau)
+                Y, _ = exp_step(log_X, g, i, j, cfg)
+                assert np.isfinite(Y).all()
+                assert block_values(Y, i, j, cfg)[3] > 1e-3 * sys.float_info.max / (2 * cfg.p)
+
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_log_iterate_keeps_block_structure(problem):
@@ -315,9 +363,9 @@ def test_log_iterate_keeps_block_structure(problem):
 
 
 # cf n = 4 at eta 300 still fails: the D dual grows past 1e18 and Newton
-# stops on MAX_NEWTON (ROADMAP item 2, every accepted eta projects).
+# stops on MAX_NEWTON (ROADMAP item 5, every accepted eta projects).
 _CF_ETA_300 = pytest.mark.xfail(raises=ProjectionError, strict=True,
-                                reason="projection did not converge (ROADMAP item 2)")
+                                reason="projection did not converge (ROADMAP item 5)")
 
 
 @pytest.mark.parametrize("problem, n, eta", [
@@ -335,6 +383,27 @@ def test_large_eta_projects(problem, n, eta, monkeypatch):
     # run out to exp's range before the trace dual removes the scale, so
     # the sweep hands that coordinate to Newton. Every active projection
     # meets KKT, checked here on the returned point.
+    play_checked(problem, n, eta, 1, monkeypatch)
+
+
+# Runs inside the eta G limit whose projection still fails, each a
+# ProjectionError: gambling n = 3 at eta 302 (seed 2: exp overflows in the
+# sweep, seed 3: no convergence), cf n = 7 at 600 (exp overflows in the
+# sweep), max-cut n = 4 at 1000 (no convergence). ROADMAP item 5; the
+# no-bisection solver of item 4 projects every one of them.
+@pytest.mark.xfail(raises=ProjectionError, strict=True,
+                   reason="projection fails inside the eta G limit (ROADMAP items 4 and 5)")
+@pytest.mark.parametrize("problem, n, eta, seed", [
+    ("gambling", 3, 302.0, 2), ("gambling", 3, 302.0, 3), ("cf", 7, 600.0, 2), ("maxcut", 4, 1000.0, 1),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_admitted_eta_projects(problem, n, eta, seed, monkeypatch):
+    play_checked(problem, n, eta, seed, monkeypatch)
+
+
+def play_checked(problem, n, eta, seed, monkeypatch):
+    """Play T = 50 rounds of a problem at an eta override, checking KKT on
+    the point every active projection returns."""
     project = omp.project_qre
 
     def checked(log_Y, cs):
@@ -347,20 +416,8 @@ def test_large_eta_projects(problem, n, eta, monkeypatch):
     monkeypatch.setattr(omp, "project_qre", checked)
     p = Params(n=n, T=50, eta=eta)
     entry = PROBLEMS[problem]
-    session, _ = run_learner(entry.config(p), entry.adversary(p, 1))
+    session, _ = run_learner(entry.config(p), entry.adversary(p, seed))
     assert session.round == p.T + 1
-
-
-@pytest.mark.parametrize("problem", ["cf", "gambling"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_step_overflow_is_a_clear_error(problem):
-    # At eta 1000 the step's log iterate reaches eigenvalues of about
-    # log(tau / N) + eta G, past exp's range: the step raises before it
-    # takes exp, with no numpy warning.
-    p = Params(n=4, T=50, eta=1000.0)
-    entry = PROBLEMS[problem]
-    with pytest.raises(InvariantViolation, match="exp overflows in the step: largest eigenvalue"):
-        run_learner(entry.config(p), entry.adversary(p, 1))
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
