@@ -11,9 +11,12 @@ symmetric result by construction; the other spectral round-trips average
 with the transpose, which removes the slow drift that otherwise
 accumulates.
 
-`exp_overflows` is the one exp-range rule. The exponential (`spectral_exp`,
-and `matrix_exp` through it) refuses a spectrum it flags, and the
-projection's solver reads the same rule before it takes an exp or a trace.
+`spectrum` is the one entry point to the eigensolver: every eigh the
+engine takes (`eig_sym`, `matrix_exp`, and the projection's solver) runs
+through it. With `exp` it also returns the exponential, unless
+`exp_overflows`, the one exp-range rule, flags the spectrum; the rule is
+read once per spectrum, and each caller decides what a refused exponential
+means.
 """
 
 from __future__ import annotations
@@ -60,36 +63,53 @@ def symmetrize(W: np.ndarray) -> np.ndarray:
     return sym_block(W)
 
 
+def spectrum(M: np.ndarray, exp: bool = False) -> tuple:
+    """Eigendecomposition of an exactly symmetric matrix, or of each matrix
+    of a stack of them (shape (..., d, d)): (lam, V) with ascending
+    eigenvalues and M = V diag(lam) V^T.
+
+    With `exp`, returns (lam, V, exp(M)), the exponential by
+    `spectral_exp`'s arithmetic, or None in its place when `exp_overflows`
+    flags lam. `eigh` reads one triangle of M, so M must be exactly
+    symmetric. numpy's `eigh` is looked up on each call, so a wrapper set on
+    `np.linalg` sees every call.
+    """
+    lam, V = np.linalg.eigh(M)
+    if not exp:
+        return lam, V
+    return lam, V, None if exp_overflows(lam) else spectral_exp(lam, V)
+
+
 def eig_sym(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns (lam, V) with eigenvalues sorted descending and orthonormal
     eigenvector columns, so that M = V @ diag(lam) @ V.T.
     """
-    lam, V = np.linalg.eigh(sym_average(np.asarray(M, dtype=float)))
+    lam, V = spectrum(sym_average(np.asarray(M, dtype=float)))
     idx = np.argsort(lam)[::-1]
     return lam[idx], V[:, idx]
 
 
 def matrix_exp(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of an exactly symmetric matrix, or of each matrix
-    of a stack of them (shape (..., d, d)).
-
-    `eigh` reads one triangle of M, so M must be exactly symmetric. The
-    result is W W^T with W = V diag(exp(lam / 2)); numpy computes a product
-    of a matrix with its own transpose as a symmetric rank-k update, so the
-    result is exactly symmetric too. A spectrum that `exp_overflows` is
+    of a stack of them, by `spectrum`. A spectrum that `exp_overflows` is
     refused with OverflowError.
     """
-    return spectral_exp(*np.linalg.eigh(M))
+    lam, _, X = spectrum(M, exp=True)
+    if X is None:
+        raise OverflowError(f"exp overflows: largest eigenvalue {lam.max():.6g}")
+    return X
 
 
 def spectral_exp(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """exp(V diag(lam) V^T) from an eigendecomposition (or a stack of them),
-    by `matrix_exp`'s arithmetic, for a caller that needs the spectrum too.
-    Raises OverflowError, before any exp is taken, if `exp_overflows(lam)`."""
-    if exp_overflows(lam):
-        raise OverflowError(f"exp overflows: largest eigenvalue {lam.max():.6g}")
+    """exp(V diag(lam) V^T) from an eigendecomposition (or a stack of them)
+    in hand: W W^T with W = V diag(exp(lam / 2)). numpy computes a product
+    of a matrix with its own transpose as a symmetric rank-k update, so the
+    result is exactly symmetric. It reads no exp-range rule: `spectrum`
+    reads `exp_overflows` before it calls this, and the solver calls it only
+    on a Newton iterate, whose spectrum has passed the rule or is the
+    trace-closed shift of one that has."""
     W = V * np.exp(0.5 * lam)[..., None, :]
     return W @ np.swapaxes(W, -1, -2)
 
@@ -99,10 +119,10 @@ def exp_overflows(lam: np.ndarray) -> bool:
     eigenvalues lam, or of a stack of them (lam of shape (k, d)), may leave
     the float range. Its trace, summed over the stack, is at most lam.size
     e^max(lam), and every entry at most e^max(lam); the rule flags that
-    bound past the largest float."""
+    bound past the largest float. An empty spectrum does not overflow."""
     # lam.flat[lam.argmax()] is lam.max() at half the cost on these short
-    # arrays; the solver reads this rule about 50 times a gambling round.
-    return lam.flat[lam.argmax()] > _EXP_ARG_MAX - math.log(lam.size)
+    # arrays; the solver reads this rule about 25 times a gambling round.
+    return lam.size > 0 and lam.flat[lam.argmax()] > _EXP_ARG_MAX - math.log(lam.size)
 
 
 def matrix_log(M: np.ndarray) -> np.ndarray:

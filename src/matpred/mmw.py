@@ -37,10 +37,13 @@ QP of the Newton model is solved exactly over every free set, and an
 Armijo search on the dual objective takes the step. Coupled duals, which a
 cyclic sweep only creeps along, so converge in a few iterations.
 
-No exp is taken of a spectrum that `linalg.exp_overflows` flags, one that
-the exponential would refuse: the sweep raises ProjectionError, bisection
-reads such a point as beyond its root, and the line search as an infinite
-dual objective.
+Every eigh the solver takes goes through `linalg.spectrum`, which returns
+the exponential with the spectrum where the solver needs it, and None in
+its place when `linalg.exp_overflows` flags the spectrum; the rule is read
+once per spectrum. No exp is taken of a flagged spectrum: the sweep raises
+ProjectionError, bisection reads such a point as beyond its root, and the
+line search, which takes sum e^lam and not the matrix, reads the rule
+itself and sees an infinite dual objective.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import exp_overflows, inner, matrix_log, spectral_exp
+from .linalg import exp_overflows, inner, matrix_log, spectral_exp, spectrum
 
 # The dual solver's relative KKT tolerance and its cap on Newton iterations
 # after the sweep (see project_qre_log).
@@ -142,7 +145,9 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
         if is_identity[j]:
             # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
             # closed form.
-            lam, V, exp_B = _spectrum(B)
+            lam, V, exp_B = spectrum(B, exp=True)
+            if exp_B is None:
+                raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
             tr = float(np.trace(exp_B))
             alpha[j] = 0.0 if tr <= c.b else float(np.log(tr / c.b))
         elif not bisected:
@@ -166,7 +171,9 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
         lam = lam - alpha[-1]
         X = np.exp(-alpha[-1]) * exp_B
     else:
-        lam, V, X = _spectrum(logY - weighted)
+        lam, V, X = spectrum(logY - weighted, exp=True)
+        if X is None:
+            raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
     vals = np.array([inner(c.A, X) for c in cs.constraints])
     if _converged(vals, alpha, b):
         return X, alpha
@@ -182,15 +189,6 @@ def _converged(vals: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> bool:
 def _slackness(vals: np.ndarray, alpha: np.ndarray, b: np.ndarray) -> float:
     """The largest alpha_j (b_j - A_j . X) / (1 + |b_j|)."""
     return float(np.max(alpha * (b - vals) / (1.0 + np.abs(b))))
-
-
-def _spectrum(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """eigh of the symmetric M and the exp the sweep takes of it; a
-    spectrum whose exp would overflow is a ProjectionError."""
-    lam, V = np.linalg.eigh(M)
-    if exp_overflows(lam):
-        raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
-    return lam, V, spectral_exp(lam, V)
 
 
 def _newton(logY: np.ndarray, cs: ConstraintSet, alpha: np.ndarray,
@@ -220,7 +218,7 @@ def _newton(logY: np.ndarray, cs: ConstraintSet, alpha: np.ndarray,
         t = 1.0
         for _ in range(64):
             trial = alpha + t * d
-            lam_t, V_t = np.linalg.eigh(logY - (trial @ flat).reshape(logY.shape))
+            lam_t, V_t = spectrum(logY - (trial @ flat).reshape(logY.shape))
             if not exp_overflows(lam_t):
                 F_t = np.exp(lam_t).sum() + trial @ b
                 if roundoff or F_t <= F + 1e-4 * t * decrease:
@@ -261,7 +259,7 @@ def _box_newton_step(H: np.ndarray, g: np.ndarray, alpha: np.ndarray) -> np.ndar
     scale = H.diagonal().max()
     systems = (np.where(free[:, :, None] & free[:, None, :], H, 0.0)
                + scale * np.eye(k) * ~free[:, None, :])
-    w, U = np.linalg.eigh(systems)
+    w, U = spectrum(systems)
     w = np.maximum(w, 1e-12 * scale)
     sol = U @ ((np.swapaxes(U, 1, 2) @ rhs[..., None]) / w[..., None])
     steps = np.where(free, -sol[..., 0], fixed_step)
@@ -272,12 +270,12 @@ def _box_newton_step(H: np.ndarray, g: np.ndarray, alpha: np.ndarray) -> np.ndar
 
 def _coordinate_gradient(B: np.ndarray, c: LinConstraint,
                          a: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """The gradient A . exp(B - a A) - b of one coordinate, with the eigh
-    of B - a A it is read from. A point whose exp would overflow lies
-    beyond the coordinate's root (the gradient decreases in a), so its
+    """The gradient A . exp(B - a A) - b of one coordinate, with the
+    spectrum of B - a A it is read from. A point whose exp `spectrum`
+    refuses lies beyond the coordinate's root (the gradient decreases in a), so its
     gradient reads -inf."""
-    lam, V = np.linalg.eigh(B - a * c.A)
-    g = -np.inf if exp_overflows(lam) else inner(c.A, spectral_exp(lam, V)) - c.b
+    lam, V, X = spectrum(B - a * c.A, exp=True)
+    g = -np.inf if X is None else inner(c.A, X) - c.b
     return g, lam, V
 
 
@@ -296,26 +294,19 @@ def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
     A midpoint a is taken once |g| max(1, a) <= gtol: complementary
     slackness weighs the gradient by the dual, so a dual above 1 needs a
     gradient that much smaller."""
-
-    def g(a):
-        return _coordinate_gradient(B, c, a)[0]
-
     gtol = _coordinate_tol(c)
-    if g(0.0) <= gtol:
+    if _coordinate_gradient(B, c, 0.0)[0] <= gtol:
         return 0.0
     hi = 1.0
-    while hi < 2.0 ** 64 and g(hi) > 0.0:
+    while hi < 2.0 ** 64 and _coordinate_gradient(B, c, hi)[0] > 0.0:
         hi *= 2.0
     lo_a, hi_a = 0.0, hi
     for _ in range(80):
         mid = 0.5 * (lo_a + hi_a)
-        gm = g(mid)
+        gm = _coordinate_gradient(B, c, mid)[0]
         if abs(gm) * max(1.0, mid) <= gtol:
             return mid
-        if gm > 0.0:
-            lo_a = mid
-        else:
-            hi_a = mid
+        lo_a, hi_a = (mid, hi_a) if gm > 0.0 else (lo_a, mid)
         if hi_a - lo_a <= 1e-14 * hi:
             break
     return 0.5 * (lo_a + hi_a)

@@ -290,9 +290,10 @@ def exp_step(log_X: np.ndarray, g: float, i: int, j: int,
     L_t is +g at the queried pair of the upper block and -g at that of the
     lower block (on a non-symmetric class the lower block follows as
     S upper S): the step subtracts `_pair_term(off=eta g)` and exponentiates
-    the stack with `matrix_exp`, one eigh. OmpConfig's eta G limit keeps
-    every step from a feasible X inside the exp range; should the
-    exponential refuse anyway, that is an InvariantViolation.
+    the stack with `matrix_exp`, one eigh through `linalg.spectrum` and one
+    read of the exp-range rule. OmpConfig's eta G limit keeps every step
+    from a feasible X inside the exp range; should the exponential refuse
+    anyway (`matrix_exp`'s OverflowError), that is an InvariantViolation.
     """
     if log_X.shape != _block_shape(cfg):
         raise ValueError(f"exp_step: expected blocks of shape {_block_shape(cfg)}, "

@@ -14,6 +14,7 @@ from matpred.linalg import (
     matrix_exp,
     matrix_log,
     qre,
+    spectrum,
     sym_block,
     symmetrize,
     trace_norm,
@@ -135,7 +136,9 @@ class TestMatrixFn:
         # range: order d for a matrix, 2d for a (2, d, d) stack, whose traces
         # add up. Just inside, the trace is about float max / lam.size. The
         # exponential refuses before it takes any exp (a numpy overflow
-        # warning fails the test).
+        # warning fails the test): `spectrum` returns None in its place
+        # exactly when the rule flags the spectrum, and otherwise the
+        # exponential `matrix_exp` returns, bit for bit.
         rng = np.random.default_rng(6)
         for d in (3, 16):
             Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
@@ -148,13 +151,26 @@ class TestMatrixFn:
                     M = 0.5 * (M + np.swapaxes(M, 1, 2))
                     if k == 1:
                         lam, M = lam[0], M[0]
-                    assert exp_overflows(lam) == exp_overflows(np.linalg.eigh(M)[0]) == (delta > 0)
+                    lam_M, _, X = spectrum(M, exp=True)
+                    assert exp_overflows(lam) == exp_overflows(lam_M) == (delta > 0)
+                    assert (X is None) == (delta > 0)
+                    assert np.array_equal(lam_M, spectrum(M)[0])
                     if delta > 0:
                         with pytest.raises(OverflowError, match="exp overflows: largest eigenvalue"):
                             matrix_exp(M)
                     else:
-                        trace = np.trace(matrix_exp(M), axis1=-2, axis2=-1).sum()
+                        assert np.array_equal(X, matrix_exp(M))
+                        trace = np.trace(X, axis1=-2, axis2=-1).sum()
                         assert trace == pytest.approx(sys.float_info.max / (k * d), rel=1e-6)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+    def test_empty_spectrum(self, shape):
+        # An empty spectrum does not overflow, and the exponential of a 0 x 0
+        # matrix (or of a stack of them) is one.
+        M = np.zeros(shape)
+        lam, _, X = spectrum(M, exp=True)
+        assert lam.size == 0 and not exp_overflows(lam)
+        assert X.shape == matrix_exp(M).shape == shape
 
 
 class TestTraceNorm:

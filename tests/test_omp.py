@@ -11,7 +11,7 @@ from matpred.decompose import CutSet, Decomposition, cut_matrix, decompose_cut
 from matpred.harness import PROBLEMS, Params, run_learner
 from matpred.linalg import inner, matrix_exp, matrix_log
 from matpred.mmw import PROJECTION_TOL, ProjectionError, project_qre
-from matpred import omp
+from matpred import linalg, mmw, omp
 from matpred.omp import (
     InvariantViolation,
     OmpConfig,
@@ -468,6 +468,31 @@ def eigh_per_projection(problem, monkeypatch):
     p = Params(n=5, T=200)
     run_learner(PROBLEMS[problem].config(p), PROBLEMS[problem].adversary(p, 1))
     return counts
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_every_eigh_goes_through_the_spectrum(problem, monkeypatch):
+    # `linalg.spectrum` is the one caller of numpy's eigh, and it reads the
+    # exp-range rule at most once per spectrum; the line search reads the
+    # rule once on its bare spectrum, and the box QP's eigh reads it not at
+    # all. So a run reads the rule no more often than it calls eigh.
+    calls = dict.fromkeys(("eigh", "spectrum", "exp_overflows"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    p = Params(n=5, T=200)
+    cfg, seq = PROBLEMS[problem].config(p), PROBLEMS[problem].adversary(p, 1)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for mod in (linalg, mmw, omp):
+        for name in ("spectrum", "exp_overflows"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    run_learner(cfg, seq)
+    assert calls["eigh"] > 0 and calls["spectrum"] == calls["eigh"]
+    assert calls["exp_overflows"] <= calls["eigh"]
 
 
 def test_cf_projection_takes_four_eigh(monkeypatch):
