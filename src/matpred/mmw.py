@@ -16,26 +16,28 @@ only after its own block test has rejected the step. `satisfied` is the
 one feasibility rule: it decides that block test, the dense entry's early
 return and, with complementary slackness, the solver's stop.
 
-The dual has at most a handful of variables. One sweep of cyclic
-coordinate ascent starts it, and bisects at most one dual: each
-coordinate but the trace is bisected until one has a positive dual, from
-the bracket [0, 1], whose upper end doubles until it holds the root, so no
-dual is capped, and a later one is only tested at zero; the trace
-constraint (A = I) has a closed-form update, exp(B - a I) = e^{-a}
-exp(B) (the trace normalisation of Tsuda, Raetsch & Warmuth, JMLR 2005),
-which also gives the sweep's iterate when the trace is its last
-coordinate. When one dual carries the projection, as in every active CF
-and max-cut projection at the default eta, the sweep meets the KKT test
-and ends it. Otherwise projected Newton (Bertsekas, SIAM J. Control Optim.
-20, 1982) finishes on all duals jointly: from the sweep's point, or, when
-a coordinate after a positive bisected dual is violated at zero, from the
-trace-closed point of that coordinate's test, whose eigh gives Newton's
-first iterate. Each iterate takes one eigh of log Y - sum alpha_j A_j,
-which gives X, the gradient b - A . X and the Hessian by Daleckii-Krein
-divided differences (Higham, Functions of Matrices, 2008, ch. 3); the box
-QP of the Newton model is solved exactly over every free set, and an
-Armijo search on the dual objective takes the step. Coupled duals, which a
-cyclic sweep only creeps along, so converge in a few iterations.
+The dual has at most a handful of variables. One sweep starts it: each
+non-trace coordinate is tested at zero, in order and with an eigh of its
+own, and a trace coordinate (A = I) closes on the way, in closed form,
+exp(B - a I) = e^{-a} exp(B) (the trace normalisation of Tsuda, Raetsch &
+Warmuth, JMLR 2005), which also gives the sweep's iterate when the trace
+is its last coordinate. The first coordinate violated at zero ends the
+tests. When a later one is violated on that same exponential too, or the
+trace closed on its spectrum meets the violated one by itself, no dual is
+bisected: the trace closes on that spectrum, whose eigh is Newton's first
+iterate. Otherwise that lone coordinate is bisected until its own KKT pair
+holds, from the bracket [0, 1], whose upper end doubles until it holds
+the root, so no dual is capped; nothing after it is tested, and the trace
+closes. When one dual carries the projection, as in every active CF and
+max-cut projection at the default eta, the sweep meets the KKT test and
+ends it. Otherwise projected Newton (Bertsekas, SIAM J. Control Optim. 20,
+1982) finishes on all duals jointly from the sweep's point. Each iterate
+takes one eigh of log Y - sum alpha_j A_j, which gives X, the gradient b -
+A . X and the Hessian by Daleckii-Krein divided differences (Higham,
+Functions of Matrices, 2008, ch. 3); the box QP of the Newton model is
+solved exactly over every free set, and an Armijo search on the dual
+objective takes the step. Coupled duals, which a cyclic sweep only creeps
+along, so converge in a few iterations.
 
 Every eigh the solver takes goes through `linalg.spectrum`, which returns
 the exponential with the spectrum where the solver needs it, and None in
@@ -128,10 +130,13 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     Returns (X*, duals): X* = exp(logY - sum alpha_j A_j) is positive
     definite, primal feasible and complementary slack, both within
     PROJECTION_TOL * (1 + |b_j|) per constraint. There is no shortcut for a
-    feasible Y: the caller tests feasibility first. One coordinate sweep
-    runs first and bisects at most one dual; if a second coordinate is
-    violated, or the sweep misses the KKT test, projected Newton finishes,
-    and raises ProjectionError after MAX_NEWTON iterations.
+    feasible Y: the caller tests feasibility first. The sweep tests each
+    non-trace coordinate at zero, closing a trace coordinate on the way,
+    until one is violated. If a later one is violated on that same
+    exponential too, or the trace alone meets it, the trace closes on that
+    spectrum. Otherwise that lone coordinate is bisected, and the trace
+    closes. Projected Newton runs only if the KKT test then fails, and
+    raises ProjectionError after MAX_NEWTON iterations.
     """
     b = np.array([c.b for c in cs.constraints])
     alpha = np.zeros(len(b))
@@ -139,41 +144,37 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     is_identity = [np.array_equal(c.A, identity) for c in cs.constraints]
 
     weighted = np.zeros_like(logY)
-    bisected = False  # whether a non-trace dual is positive
     for j, c in enumerate(cs.constraints):
-        B = logY - weighted
+        # Each coordinate takes its own eigh, even where weighted has not
+        # moved since the last one (ROADMAP item 2 would share them).
+        lam, V, X = _sweep_spectrum(logY - weighted)
         if is_identity[j]:
             # exp(B - a I) = e^{-a} exp(B): the coordinate solves in
             # closed form.
-            lam, V, exp_B = spectrum(B, exp=True)
-            if exp_B is None:
-                raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
-            tr = float(np.trace(exp_B))
+            tr = float(np.trace(X))
             alpha[j] = 0.0 if tr <= c.b else float(np.log(tr / c.b))
-        elif not bisected:
-            alpha[j] = _bisect_coordinate(B, c)
-            bisected = alpha[j] > 0.0
-        else:
-            # A second non-trace coordinate is only tested at zero. If it
-            # is violated, Newton solves it with the others, from the
-            # point where the trace coordinate is closed on the test's
-            # spectrum: exp(B - a I) has trace e^{-a} sum e^lam.
-            g, lam, V = _coordinate_gradient(B, c, 0.0)
-            if g > _coordinate_tol(c):
-                for t in np.flatnonzero(is_identity):
-                    shift = max(-alpha[t], float(np.log(np.exp(lam).sum() / b[t])))
-                    alpha[t] += shift
-                    lam = lam - shift
-                return _newton(logY, cs, alpha, lam, V)
-        weighted = weighted + alpha[j] * c.A
-    if is_identity[-1]:
-        # The sweep ended on the trace: logY - weighted is its B - a I.
-        lam = lam - alpha[-1]
-        X = np.exp(-alpha[-1]) * exp_B
+            weighted = weighted + alpha[j] * c.A
+        elif not satisfied(inner(c.A, X), c.b):
+            # The first coordinate violated at zero. Unless the trace alone
+            # meets it, or a later one is violated on this exponential too,
+            # it is bisected; otherwise the trace closes on this spectrum
+            # and a bisected dual would only be Newton's first guess.
+            closed = alpha.copy()
+            shift = _close_trace(lam, closed, b, is_identity)
+            later = (d for d, t in zip(cs.constraints[j + 1:], is_identity[j + 1:]) if not t)
+            if satisfied(np.exp(-shift) * inner(c.A, X), c.b) or not all(
+                    satisfied(inner(d.A, X), d.b) for d in later):
+                alpha = closed
+            else:
+                alpha[j] = _bisect_coordinate(logY - weighted, c)
+                lam, V, X = _sweep_spectrum(logY - weighted - alpha[j] * c.A)
+                shift = _close_trace(lam, alpha, b, is_identity)
+            break
     else:
-        lam, V, X = spectrum(logY - weighted, exp=True)
-        if X is None:
-            raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
+        # No coordinate is violated at zero: the last spectrum, shifted by
+        # the last dual (the trace's when it comes last), is the iterate.
+        shift = alpha[-1]
+    lam, X = lam - shift, np.exp(-shift) * X
     vals = np.array([inner(c.A, X) for c in cs.constraints])
     if _converged(vals, alpha, b):
         return X, alpha
@@ -268,45 +269,55 @@ def _box_newton_step(H: np.ndarray, g: np.ndarray, alpha: np.ndarray) -> np.ndar
     return steps[np.argmin(model)]
 
 
-def _coordinate_gradient(B: np.ndarray, c: LinConstraint,
-                         a: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """The gradient A . exp(B - a A) - b of one coordinate, with the
-    spectrum of B - a A it is read from. A point whose exp `spectrum`
-    refuses lies beyond the coordinate's root (the gradient decreases in a), so its
-    gradient reads -inf."""
-    lam, V, X = spectrum(B - a * c.A, exp=True)
-    g = -np.inf if X is None else inner(c.A, X) - c.b
-    return g, lam, V
+def _sweep_spectrum(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`spectrum(B, exp=True)` for the sweep, which has no use for a refused
+    exponential: it raises ProjectionError."""
+    lam, V, X = spectrum(B, exp=True)
+    if X is None:
+        raise ProjectionError(f"exp overflows: largest eigenvalue {lam[-1]:.6g}")
+    return lam, V, X
 
 
-def _coordinate_tol(c: LinConstraint) -> float:
-    """The gradient at which a coordinate counts as solved, and a zero dual
-    as unviolated."""
-    return 0.1 * PROJECTION_TOL * max(1.0, abs(c.b))
+def _close_trace(lam: np.ndarray, alpha: np.ndarray, b: np.ndarray, is_identity: list) -> float:
+    """Close each trace coordinate on the spectrum lam of the iterate, in
+    place in alpha, and return the total shift a: exp(B - a I) has trace
+    e^{-a} sum e^lam."""
+    total = 0.0
+    for t in np.flatnonzero(is_identity):
+        shift = max(-alpha[t], float(np.log(np.exp(lam - total).sum() / b[t])))
+        alpha[t] += shift
+        total += shift
+    return total
+
+
+def _coordinate_value(B: np.ndarray, c: LinConstraint, a: float) -> float:
+    """A . exp(B - a A), one coordinate's constraint value at dual a. A
+    point whose exp `spectrum` refuses lies beyond the coordinate's root
+    (the value decreases in a), so its value reads -inf."""
+    X = spectrum(B - a * c.A, exp=True)[2]
+    return -np.inf if X is None else inner(c.A, X)
 
 
 def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
-    """Solve A . exp(B - a A) = b for a >= 0, starting from the bracket
-    [0, 1]. The gradient is monotone decreasing in a: hi doubles until
-    the gradient there is <= 0, then plain bisection applies. A gradient
-    still positive after 64 doublings leaves the root at hi; the final KKT
-    check reports if this is a failure.
-    A midpoint a is taken once |g| max(1, a) <= gtol: complementary
-    slackness weighs the gradient by the dual, so a dual above 1 needs a
-    gradient that much smaller."""
-    gtol = _coordinate_tol(c)
-    if _coordinate_gradient(B, c, 0.0)[0] <= gtol:
-        return 0.0
+    """Solve A . exp(B - a A) = b for a > 0, a coordinate violated at zero,
+    starting from the bracket [0, 1]. The value is monotone decreasing in
+    a: hi doubles until the value there is <= b, then plain bisection
+    applies. A value still above b after 64 doublings leaves the root at
+    hi; the final KKT check reports if this is a failure.
+    A midpoint a is taken once the coordinate's own KKT pair holds for a
+    positive dual: |A . X - b| and the slackness a |A . X - b| both within
+    PROJECTION_TOL (1 + |b|), the tolerance of the solver's stop."""
+    tol = PROJECTION_TOL * (1.0 + abs(c.b))
     hi = 1.0
-    while hi < 2.0 ** 64 and _coordinate_gradient(B, c, hi)[0] > 0.0:
+    while hi < 2.0 ** 64 and _coordinate_value(B, c, hi) > c.b:
         hi *= 2.0
     lo_a, hi_a = 0.0, hi
     for _ in range(80):
         mid = 0.5 * (lo_a + hi_a)
-        gm = _coordinate_gradient(B, c, mid)[0]
-        if abs(gm) * max(1.0, mid) <= gtol:
+        value = _coordinate_value(B, c, mid)
+        if abs(value - c.b) * max(1.0, mid) <= tol:
             return mid
-        lo_a, hi_a = (mid, hi_a) if gm > 0.0 else (lo_a, mid)
+        lo_a, hi_a = (mid, hi_a) if value > c.b else (lo_a, mid)
         if hi_a - lo_a <= 1e-14 * hi:
             break
     return 0.5 * (lo_a + hi_a)

@@ -65,7 +65,9 @@ class OmpConfig:
     order-2p spectrum at that bound: eta G must stay below log(float max) -
     log(2p (tau + PROJECTION_TOL (1 + tau))), about 700 on every registered
     problem. For eta >= 1/G the regret bound's form is at least 2 G T
-    already, so the limit costs no guarantee.
+    already, so the limit costs no guarantee. A tau so small that the
+    initial iterate's entries tau / 2p fall below the smallest normal float
+    is refused too: their logarithm starts the session.
     """
 
     m: int
@@ -97,6 +99,8 @@ class OmpConfig:
                 f"tau={self.tau} exceeds 2*p*beta={2 * self.p * self.beta}; "
                 "the initial iterate would be infeasible"
             )
+        if self.tau / (2 * self.p) < np.finfo(float).tiny:
+            raise ValueError(f"tau={self.tau} is too small: the initial iterate (tau / 2p) I underflows")
         if self.eta is None:
             object.__setattr__(self, "eta", eta_default(self.tau, self.p, self.beta, self.G, self.T))
         if not (math.isfinite(self.eta) and self.eta > 0):

@@ -1,11 +1,16 @@
+import io
+import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matpred import harness
 from matpred.adversaries import Sequence, random_adversary
@@ -423,6 +428,8 @@ class TestExitCodes:
         ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e-200"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e-160"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "1e-300", "--G", "1e150"),
+        # tau / 2p underflows to 0, whose log the initial iterate would take
+        ("run", "--problem", "cf", "--n", "1", "--T", "1", "--tau0", "5e-324", "--no-comparator"),
         # --G and --tau0 are checked on the problems whose configs never read them
         ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--G", "nan"),
         ("run", "--problem", "gambling", "--n", "4", "--T", "5", "--G", "-3", "--tau0", "nan"),
@@ -482,3 +489,55 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "linear losses only" in res.stderr and "Traceback" not in res.stderr
         assert matpred(*argv, "--no-comparator").returncode == 0
+
+
+def run_argv(problem, n, T, seed, eta, G, share):
+    """A `run --no-comparator` call; G, and tau0 as a share of its largest
+    value m sqrt(n) with m = n, are passed to CF alone."""
+    argv = ["run", "--problem", problem, "--n", str(n), "--T", str(T), "--seed", str(seed),
+            "--no-comparator"]
+    if eta is not None:
+        argv += ["--eta", repr(eta)]
+    if problem == "cf":
+        argv += ["--G", repr(G), "--tau0", repr(share * n * math.sqrt(n))]
+    return argv
+
+
+def spread_argv(seed):
+    """run_argv drawn evenly over the domain: eta the default or log-uniform
+    in [1e-3, 316], G log-uniform in [1e-3, 1e3]."""
+    rng = np.random.default_rng(seed)
+    return run_argv(str(rng.choice(sorted(harness.PROBLEMS))), int(rng.integers(1, 9)),
+                    int(rng.integers(1, 41)), int(rng.integers(0, 51)),
+                    None if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 2.5),
+                    10.0 ** rng.uniform(-3.0, 3.0), 1.0 - rng.random())
+
+
+# The domain every accepted input must run on: each problem, n <= 8, T <=
+# 40, seeds 0-50, eta the default or in [1e-3, 316]; for CF, G in [1e-3, 1e3]
+# and tau0 in (0, m sqrt(n)]. Hypothesis's own draws crowd at the ends of
+# each range, where they find edge cases (a tau0 of 5e-324 once crashed the
+# first round); the seeded draws spread evenly, so large eta G is reached.
+ACCEPTED_RUNS = st.one_of(
+    st.builds(run_argv, st.sampled_from(sorted(harness.PROBLEMS)), st.integers(1, 8),
+              st.integers(1, 40), st.integers(0, 50), st.none() | st.floats(1e-3, 316.0),
+              st.floats(1e-3, 1e3), st.floats(0.0, 1.0, exclude_min=True)),
+    st.integers(0, 2 ** 32 - 1).map(spread_argv))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ACCEPTED_RUNS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_accepted_run_projects(argv, kkt_checked):
+    # In process: a run exits 0, or is refused as a usage error (exit 2)
+    # before it prints anything. A ProjectionError would exit 1, and an
+    # overflow warning fails the test. `kkt_checked` holds for every
+    # example alike, so one patch serves them all.
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc == 0 or (rc == 2 and out.getvalue() == "")

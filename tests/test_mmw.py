@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matpred import mmw
 from matpred.linalg import inner, matrix_exp, matrix_log, qre
-from matpred.mmw import ConstraintSet, LinConstraint, ProjectionError, project_qre, project_qre_log
+from matpred.mmw import (PROJECTION_TOL, ConstraintSet, LinConstraint, ProjectionError, project_qre,
+                         project_qre_log)
 from matpred.omp import constraints_Kt
 from matpred.problems import cf_config
 
@@ -96,8 +98,9 @@ class TestProjectGeneral:
     ], ids=["diag-b1", "diag-b0.25", "offdiag-b0"])
     def test_bisection_widens_its_bracket(self, Y, A, b, dual, X_want):
         # Each dual lies above bisection's first bracket [0, 1]. Bisection
-        # stops once the coordinate's gradient is within 1e-8 / max(1, dual),
-        # so the dual is held to about that over the gradient's slope.
+        # stops once the coordinate's value is within PROJECTION_TOL (1 +
+        # |b|) / max(1, dual) of b, so the dual is held to about that over
+        # the gradient's slope.
         cs = ConstraintSet(constraints=(LinConstraint(A=A, b=b),), tau=1.0)
         X, alpha = project_qre(Y, cs)
         assert np.allclose(X, X_want, rtol=0.0, atol=1e-7)
@@ -126,6 +129,45 @@ class TestProjectGeneral:
         assert np.allclose(X, np.diag([1.0, 0.25, 0.25]), rtol=0.0, atol=1e-7)
         assert np.allclose(alpha, np.log([2.0, 4.0]), rtol=0.0, atol=1e-7)
         assert sum(calls) <= sweep + 8
+
+    @pytest.mark.parametrize("diag_Y, constraints, X_want, duals, most_eigh", [
+        # X11 <= 1 and X22 <= 1 on diag(8, 8, 1) are both violated on the
+        # first zero test's exponential, so Newton starts from zero duals:
+        # 13 eigh, where a bisection of X11 first took 46.
+        ((8.0, 8.0, 1.0), ((np.diag([1.0, 0.0, 0.0]), 1.0), (np.diag([0.0, 1.0, 0.0]), 1.0)),
+         (1.0, 1.0, 1.0), (np.log(8.0), np.log(8.0)), 13),
+        # Tr X <= 2 on diag(4, 4) meets the violated X11 <= 1 by itself: the
+        # zero test's one eigh, shifted by the trace dual, is the projection.
+        ((4.0, 4.0), ((np.diag([1.0, 0.0]), 1.0), (np.eye(2), 2.0)), (1.0, 1.0), (0.0, np.log(4.0)), 1),
+    ], ids=["coupled", "trace-alone"])
+    def test_no_bisection_before_newton(self, diag_Y, constraints, X_want, duals, most_eigh,
+                                        monkeypatch):
+        def no_bisection(*args):
+            raise AssertionError("entered bisection")
+        monkeypatch.setattr(mmw, "_bisect_coordinate", no_bisection)
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(M):
+            calls.append(M.shape)
+            return eigh(M)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        X, alpha = project_qre_log(np.diag(np.log(diag_Y)), ConstraintSet(
+            constraints=tuple(LinConstraint(A=A, b=b) for A, b in constraints), tau=3.0))
+        assert np.allclose(X, np.diag(X_want), rtol=0.0, atol=1e-7)
+        assert np.allclose(alpha, duals, rtol=0.0, atol=1e-7)
+        assert len(calls) <= most_eigh
+
+    def test_zero_test_is_the_feasibility_rule(self):
+        # X11 <= 1 is violated at zero duals by half its tolerance
+        # PROJECTION_TOL (1 + |b|), which `satisfied` accepts: its dual stays
+        # exactly 0 while the trace dual takes Tr X <= 2 on diag(1 + 1e-7, 3).
+        b = 1.0
+        y11 = b + 0.5 * PROJECTION_TOL * (1.0 + abs(b))
+        X, alpha = project_qre_log(np.diag(np.log([y11, 3.0])), ConstraintSet(constraints=(
+            LinConstraint(A=np.diag([1.0, 0.0]), b=b), LinConstraint(A=np.eye(2), b=2.0)), tau=2.0))
+        assert alpha[0] == 0.0
+        assert alpha[1] == pytest.approx(np.log((y11 + 3.0) / 2.0), rel=1e-12)
+        assert np.trace(X) == pytest.approx(2.0, rel=1e-12)
 
     def test_trace_closed_form_iterate(self):
         # With the trace last (K_t's order D, E, -E, I) a sweep's iterate is

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from matpred.decompose import CutSet, Decomposition, cut_matrix, decompose_cut
 from matpred.harness import PROBLEMS, Params, run_learner
 from matpred.linalg import inner, matrix_exp, matrix_log
-from matpred.mmw import PROJECTION_TOL, ProjectionError, project_qre
+from matpred.mmw import PROJECTION_TOL, project_qre
 from matpred import linalg, mmw, omp
 from matpred.omp import (
     InvariantViolation,
@@ -362,58 +362,40 @@ def test_log_iterate_keeps_block_structure(problem):
     assert np.max(np.abs(pending - full)) <= 1e-12 * np.max(np.abs(full))
 
 
-# cf n = 4 at eta 300 still fails: the D dual grows past 1e18 and Newton
-# stops on MAX_NEWTON (ROADMAP item 5, every accepted eta projects).
-_CF_ETA_300 = pytest.mark.xfail(raises=ProjectionError, strict=True,
-                                reason="projection did not converge (ROADMAP item 5)")
-
-
 @pytest.mark.parametrize("problem, n, eta", [
-    pytest.param(problem, n, eta, marks=_CF_ETA_300 if (problem, n, eta) == ("cf", 4, 300.0) else ())
+    (problem, n, eta)
     for problem in sorted(PROBLEMS) for n in (4, 8) for eta in (10.0, 30.0, 100.0, 300.0)
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_large_eta_projects(problem, n, eta, monkeypatch):
-    # An eta override far above the default leaves the sweep unconverged in
-    # many projections: two duals coupled (E or -E with I, D with I), or a
-    # dual that bisection set and the optimum does not use. The Newton
-    # finish solves all duals jointly. Gambling n = 4 at eta 100 bisects
-    # past exp's range, which must be decided without taking exp (a
-    # RuntimeWarning fails the test); at eta 300 a second bisection would
-    # run out to exp's range before the trace dual removes the scale, so
-    # the sweep hands that coordinate to Newton. Every active projection
-    # meets KKT, checked here on the returned point.
-    play_checked(problem, n, eta, 1, monkeypatch)
+def test_large_eta_projects(problem, n, eta, kkt_checked):
+    # An eta override far above the default leaves many projections to the
+    # Newton finish: two duals coupled (E or -E with I, D with I), a dual
+    # that bisection set and the optimum does not use, or a start where a
+    # second coordinate is violated at zero on the first one's exponential.
+    # Newton starts that last case from the trace-closed point of zero
+    # duals: cf n = 4 at eta 300 once bisected its D dual to 4e18 first,
+    # and Newton did not converge from there. No exp is taken of a spectrum
+    # past exp's range (a RuntimeWarning fails the test). Every active
+    # projection meets KKT (`kkt_checked`).
+    play_at_eta(problem, n, eta, 1)
 
 
-# Runs inside the eta G limit whose projection still fails, each a
-# ProjectionError: gambling n = 3 at eta 302 (seed 2: exp overflows in the
-# sweep, seed 3: no convergence), cf n = 7 at 600 (exp overflows in the
-# sweep), max-cut n = 4 at 1000 (no convergence). ROADMAP item 5; the
-# no-bisection solver of item 4 projects every one of them.
-@pytest.mark.xfail(raises=ProjectionError, strict=True,
-                   reason="projection fails inside the eta G limit (ROADMAP items 4 and 5)")
+# Runs inside the eta G limit whose failing projection was a coupled start:
+# D and E (or -E) both violated at zero, far past their bounds. A sweep that
+# bisected D first ran out to exp's range (gambling n = 3 at eta 302 with
+# seed 2, cf n = 7 at 600), or started Newton from a D dual of 5e14 or more,
+# which it did not bring to KKT within MAX_NEWTON (gambling n = 3 at eta 302
+# with seed 3, max-cut n = 4 at 1000). Newton from zero duals projects each.
 @pytest.mark.parametrize("problem, n, eta, seed", [
     ("gambling", 3, 302.0, 2), ("gambling", 3, 302.0, 3), ("cf", 7, 600.0, 2), ("maxcut", 4, 1000.0, 1),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_admitted_eta_projects(problem, n, eta, seed, monkeypatch):
-    play_checked(problem, n, eta, seed, monkeypatch)
+def test_admitted_eta_projects(problem, n, eta, seed, kkt_checked):
+    play_at_eta(problem, n, eta, seed)
 
 
-def play_checked(problem, n, eta, seed, monkeypatch):
-    """Play T = 50 rounds of a problem at an eta override, checking KKT on
-    the point every active projection returns."""
-    project = omp.project_qre
-
-    def checked(log_Y, cs):
-        X, duals = project(log_Y, cs)
-        for a, c in zip(duals, cs.constraints):
-            value = inner(c.A, X)
-            assert a >= 0.0 and value <= c.b + 1e-6 * (1 + abs(c.b))
-            assert a * (c.b - value) <= 1e-6 * (1 + abs(c.b))
-        return X, duals
-    monkeypatch.setattr(omp, "project_qre", checked)
+def play_at_eta(problem, n, eta, seed):
+    """Play T = 50 rounds of a problem at an eta override."""
     p = Params(n=n, T=50, eta=eta)
     entry = PROBLEMS[problem]
     session, _ = run_learner(entry.config(p), entry.adversary(p, seed))
@@ -505,11 +487,12 @@ def test_cf_projection_takes_four_eigh(monkeypatch):
 
 
 def test_gambling_projection_bisects_once(monkeypatch):
-    # The sweep bisects at most one dual (up to 28 eigh here): a second
-    # violated coordinate, tested at zero with one eigh, goes to the Newton
-    # finish (two eigh per iteration, the box QP's and the line search's;
-    # at most four iterations here). One bisection plus that finish stays
-    # within 40; a second bisection alone would take about 28 more.
+    # The sweep bisects at most one dual, the first coordinate violated at
+    # zero, and only when no later one is violated on the same
+    # exponential; otherwise Newton starts from zero duals. Either way the
+    # KKT test may hand the point to the Newton finish (two eigh per
+    # iteration, the box QP's and the line search's). A projection takes at
+    # most 30 eigh here; a second bisection alone would take about 28 more.
     counts = eigh_per_projection("gambling", monkeypatch)
     assert len(counts) > 0 and max(counts) <= 40
 
