@@ -211,7 +211,9 @@ def cmd_run(args) -> int:
     print(f"rounds           {p.T}")
     print(f"eta              {cfg.eta:.6g}")
     print(f"theoretical bound {cfg.regret_bound():.6f}")
-    reports = [_play(cfg, *game, args.out) for game in itertools.chain([first], games)]
+    last = args.seed + args.seeds - 1   # --out is the last seed's trace
+    reports = [_play(cfg, *game, args.out if game[0] == last else None)
+               for game in itertools.chain([first], games)]
     if comparator is None:
         return 0
     regrets = [r.regret for r in reports]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, eig_sym, sym_average, sym_block, symmetrize
+from .linalg import DomainError, spectrum, sym_average, sym_block, symmetrize
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def decompose_trace_norm(W: np.ndarray) -> Decomposition:
     if np.max(np.abs(W)) > 1.0 + 1e-12:
         raise ValueError("decompose_trace_norm: entries must lie in [-1, 1]")
     S = symmetrize(W)
-    lam, V = eig_sym(S)
+    lam, V = spectrum(S)
     pos = np.maximum(lam, 0.0)
     neg = np.maximum(-lam, 0.0)
     P = sym_average((V * pos) @ V.T)

@@ -12,11 +12,12 @@ with the transpose, which removes the slow drift that otherwise
 accumulates.
 
 `spectrum` is the one entry point to the eigensolver: every eigh the
-engine takes (`eig_sym`, `matrix_exp`, and the projection's solver) runs
-through it. With `exp` it also returns the exponential, unless
-`exp_overflows`, the one exp-range rule, flags the spectrum; the rule is
-read once per spectrum, and each caller decides what a refused exponential
-means.
+package takes (`matrix_exp`, `matrix_log`, `qre`, the trace-norm
+decomposition and the projection's solver) runs through it, so every
+spectrum is in ascending order. With `exp` it also returns the
+exponential, unless `exp_overflows`, the one exp-range rule, flags the
+spectrum; the rule is read once per spectrum, and each caller decides what
+a refused exponential means.
 """
 
 from __future__ import annotations
@@ -80,17 +81,6 @@ def spectrum(M: np.ndarray, exp: bool = False) -> tuple:
     return lam, V, None if exp_overflows(lam) else spectral_exp(lam, V)
 
 
-def eig_sym(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (lam, V) with eigenvalues sorted descending and orthonormal
-    eigenvector columns, so that M = V @ diag(lam) @ V.T.
-    """
-    lam, V = spectrum(sym_average(np.asarray(M, dtype=float)))
-    idx = np.argsort(lam)[::-1]
-    return lam[idx], V[:, idx]
-
-
 def matrix_exp(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of an exactly symmetric matrix, or of each matrix
     of a stack of them, by `spectrum`. A spectrum that `exp_overflows` is
@@ -131,8 +121,8 @@ def matrix_log(M: np.ndarray) -> np.ndarray:
     Eigenvalues are raised to LOG_FLOOR_REL * max(1, lam_max) before
     taking logs.
     """
-    lam, V = eig_sym(M)
-    eps = LOG_FLOOR_REL * max(1.0, float(lam[0]) if lam.size else 1.0)
+    lam, V = spectrum(sym_average(np.asarray(M, dtype=float)))
+    eps = LOG_FLOOR_REL * max(1.0, float(lam[-1]) if lam.size else 1.0)
     return sym_average((V * np.log(np.maximum(lam, eps))) @ V.T)
 
 
@@ -160,8 +150,7 @@ def qre(X: np.ndarray, A: np.ndarray) -> float:
     A = np.asarray(A, dtype=float)
     if X.shape != A.shape:
         raise ValueError(f"qre: order mismatch {X.shape} vs {A.shape}")
-    lam, _ = eig_sym(X)
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(spectrum(sym_average(X))[0], 0.0)
     # 0 log 0 = 0: a zero eigenvalue is multiplied by log 1.
     tr_xlogx = float(np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0))))
     tr_xloga = inner(X, matrix_log(A))

@@ -28,16 +28,17 @@ bisected: the trace closes on that spectrum, whose eigh is Newton's first
 iterate. Otherwise that lone coordinate is bisected until its own KKT pair
 holds, from the bracket [0, 1], whose upper end doubles until it holds
 the root, so no dual is capped; nothing after it is tested, and the trace
-closes. When one dual carries the projection, as in every active CF and
-max-cut projection at the default eta, the sweep meets the KKT test and
-ends it. Otherwise projected Newton (Bertsekas, SIAM J. Control Optim. 20,
-1982) finishes on all duals jointly from the sweep's point. Each iterate
-takes one eigh of log Y - sum alpha_j A_j, which gives X, the gradient b -
-A . X and the Hessian by Daleckii-Krein divided differences (Higham,
-Functions of Matrices, 2008, ch. 3); the box QP of the Newton model is
-solved exactly over every free set, and an Armijo search on the dual
-objective takes the step. Coupled duals, which a cyclic sweep only creeps
-along, so converge in a few iterations.
+closes on the spectrum bisection stopped on. When one dual carries the
+projection, as in every active CF and max-cut projection at the default
+eta, the sweep meets the KKT test and ends it. Otherwise projected Newton
+(Bertsekas, SIAM J. Control Optim. 20, 1982) finishes on all duals jointly
+from the sweep's point. Each iterate takes one eigh of log Y - sum alpha_j
+A_j, which gives X, the gradient b - A . X and the Hessian by
+Daleckii-Krein divided differences (Higham, Functions of Matrices, 2008,
+ch. 3); the box QP of the Newton model is solved exactly over every free
+set, and an Armijo search on the dual objective takes the step. Coupled
+duals, which a cyclic sweep only creeps along, so converge in a few
+iterations.
 
 Every eigh the solver takes goes through `linalg.spectrum`, which returns
 the exponential with the spectrum where the solver needs it, and None in
@@ -135,8 +136,9 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     until one is violated. If a later one is violated on that same
     exponential too, or the trace alone meets it, the trace closes on that
     spectrum. Otherwise that lone coordinate is bisected, and the trace
-    closes. Projected Newton runs only if the KKT test then fails, and
-    raises ProjectionError after MAX_NEWTON iterations.
+    closes on bisection's last spectrum. Projected Newton runs only if the
+    KKT test then fails, and raises ProjectionError after MAX_NEWTON
+    iterations.
     """
     b = np.array([c.b for c in cs.constraints])
     alpha = np.zeros(len(b))
@@ -166,8 +168,7 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
                     satisfied(inner(d.A, X), d.b) for d in later):
                 alpha = closed
             else:
-                alpha[j] = _bisect_coordinate(logY - weighted, c)
-                lam, V, X = _sweep_spectrum(logY - weighted - alpha[j] * c.A)
+                alpha[j], lam, V, X = _bisect_coordinate(logY - weighted, c)
                 shift = _close_trace(lam, alpha, b, is_identity)
             break
     else:
@@ -290,34 +291,40 @@ def _close_trace(lam: np.ndarray, alpha: np.ndarray, b: np.ndarray, is_identity:
     return total
 
 
-def _coordinate_value(B: np.ndarray, c: LinConstraint, a: float) -> float:
-    """A . exp(B - a A), one coordinate's constraint value at dual a. A
-    point whose exp `spectrum` refuses lies beyond the coordinate's root
-    (the value decreases in a), so its value reads -inf."""
-    X = spectrum(B - a * c.A, exp=True)[2]
-    return -np.inf if X is None else inner(c.A, X)
+def _coordinate_value(B: np.ndarray, c: LinConstraint, a: float) -> tuple:
+    """(A . X, (lam, V, X)) at X = exp(B - a A), one coordinate's
+    constraint value at dual a and the spectrum it was read from. A point
+    whose exp `spectrum` refuses lies beyond the coordinate's root (the
+    value decreases in a), so its value reads -inf."""
+    point = spectrum(B - a * c.A, exp=True)
+    return -np.inf if point[2] is None else inner(c.A, point[2]), point
 
 
-def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> float:
+def _bisect_coordinate(B: np.ndarray, c: LinConstraint) -> tuple:
     """Solve A . exp(B - a A) = b for a > 0, a coordinate violated at zero,
-    starting from the bracket [0, 1]. The value is monotone decreasing in
-    a: hi doubles until the value there is <= b, then plain bisection
+    starting from the bracket [0, 1], and return (a, lam, V, X), the
+    spectrum and exponential of B - a A. The value is monotone decreasing
+    in a: hi doubles until the value there is <= b, then plain bisection
     applies. A value still above b after 64 doublings leaves the root at
     hi; the final KKT check reports if this is a failure.
-    A midpoint a is taken once the coordinate's own KKT pair holds for a
-    positive dual: |A . X - b| and the slackness a |A . X - b| both within
-    PROJECTION_TOL (1 + |b|), the tolerance of the solver's stop."""
+    A midpoint a is taken, with the spectrum its test read, once the
+    coordinate's own KKT pair holds for a positive dual: |A . X - b| and
+    the slackness a |A . X - b| both within PROJECTION_TOL (1 + |b|), the
+    tolerance of the solver's stop. When the bracket closes first, the
+    midpoint takes a spectrum of its own, and a refused exp there raises
+    ProjectionError."""
     tol = PROJECTION_TOL * (1.0 + abs(c.b))
     hi = 1.0
-    while hi < 2.0 ** 64 and _coordinate_value(B, c, hi) > c.b:
+    while hi < 2.0 ** 64 and _coordinate_value(B, c, hi)[0] > c.b:
         hi *= 2.0
     lo_a, hi_a = 0.0, hi
     for _ in range(80):
         mid = 0.5 * (lo_a + hi_a)
-        value = _coordinate_value(B, c, mid)
+        value, point = _coordinate_value(B, c, mid)
         if abs(value - c.b) * max(1.0, mid) <= tol:
-            return mid
+            return (mid, *point)
         lo_a, hi_a = (mid, hi_a) if value > c.b else (lo_a, mid)
         if hi_a - lo_a <= 1e-14 * hi:
             break
-    return 0.5 * (lo_a + hi_a)
+    mid = 0.5 * (lo_a + hi_a)
+    return (mid, *_sweep_spectrum(B - mid * c.A))

@@ -117,6 +117,31 @@ class TestRunCommand:
         cums = [float(l.split(",")[6]) for l in lines[1:]]
         assert cums[-1] == pytest.approx(sum(losses), abs=1e-9)
 
+    def test_out_is_the_last_seeds_trace(self, tmp_path, capsys, monkeypatch):
+        # Only the last seed writes the trace: no earlier seed opens the
+        # file, so it holds what a run of that seed alone writes.
+        paths = []
+
+        def recorded(cfg, seq, trace_path=None):
+            paths.append(trace_path)
+            return run_learner(cfg, seq, trace_path=trace_path)
+        monkeypatch.setattr("matpred.cli.run_learner", recorded)
+        flags = ["run", "--problem", "maxcut", "--n", "4", "--T", "20", "--no-comparator"]
+        many, one = tmp_path / "many.csv", tmp_path / "one.csv"
+        assert main(flags + ["--seed", "1", "--seeds", "3", "--out", str(many)]) == 0
+        assert paths == [None, None, str(many)]
+        assert main(flags + ["--seed", "3", "--out", str(one)]) == 0
+        assert many.read_text() == one.read_text()
+
+    def test_lowerbound_adversary(self, capsys):
+        # `run --adversary lowerbound` plays the lower-bound command's
+        # adversary against the same brute-force comparator.
+        flags = ["--problem", "maxcut", "--n", "4", "--T", "8", "--seed", "1", "--seeds", "2"]
+        assert main(["run", "--adversary", "lowerbound"] + flags) == 0
+        run = seed_lines(capsys.readouterr().out)
+        assert main(["lowerbound"] + flags) == 0
+        assert len(run) == 2 and run == seed_lines(capsys.readouterr().out)
+
     def test_sequence_file_adversary(self, tmp_path, capsys):
         seq = random_adversary("maxcut", 4, 4, T=30, seed=5)
         path = tmp_path / "seq.csv"

@@ -489,12 +489,37 @@ def test_cf_projection_takes_four_eigh(monkeypatch):
 def test_gambling_projection_bisects_once(monkeypatch):
     # The sweep bisects at most one dual, the first coordinate violated at
     # zero, and only when no later one is violated on the same
-    # exponential; otherwise Newton starts from zero duals. Either way the
-    # KKT test may hand the point to the Newton finish (two eigh per
-    # iteration, the box QP's and the line search's). A projection takes at
-    # most 30 eigh here; a second bisection alone would take about 28 more.
+    # exponential; otherwise the trace closes on that spectrum and Newton
+    # starts from there. Either way the KKT test may hand the point to the
+    # Newton finish (two eigh per iteration, the box QP's and the line
+    # search's). A projection takes at most 30 eigh here; a second
+    # bisection alone would take about 28 more.
     counts = eigh_per_projection("gambling", monkeypatch)
     assert len(counts) > 0 and max(counts) <= 40
+
+
+def test_gambling_projection_decomposes_no_matrix_twice(monkeypatch):
+    # Bisection hands the spectrum its KKT stop read to the sweep, which
+    # closes the trace on it, so within one projection no matrix goes to
+    # eigh twice but log Y itself, which each non-trace coordinate tests at
+    # zero with an eigh of its own.
+    eigh, project = np.linalg.eigh, omp.project_qre
+    seen, repeats = [], []
+
+    def recorded_eigh(M):
+        seen.append(M.tobytes())
+        return eigh(M)
+
+    def recorded_project(logY, cs):
+        seen.clear()
+        out = project(logY, cs)
+        repeats.extend(m for m in set(seen) if seen.count(m) > 1 and m != logY.tobytes())
+        return out
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    monkeypatch.setattr(omp, "project_qre", recorded_project)
+    p = Params(n=5, T=200)
+    run_learner(PROBLEMS["gambling"].config(p), PROBLEMS["gambling"].adversary(p, 1))
+    assert seen and not repeats
 
 
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
