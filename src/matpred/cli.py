@@ -1,8 +1,7 @@
 """Experiment harness CLI.
 
-Subcommands: run (learner vs adversary with CSV trace), decompose
-(construct + validate a decomposition), lowerbound (aggregate the
-stochastic adversaries over seeds).
+Subcommands: run (learner vs a random, lower-bound or file adversary over
+seeds, with CSV trace), decompose (construct + validate a decomposition).
 Exit codes: 0 success, 1 invariant/validation failure, 2 usage error.
 """
 
@@ -79,13 +78,6 @@ def read_sequence(path: str, m: int, n: int, T: int) -> Sequence:
     return Sequence(m=m, n=n, rounds=tuple(rounds))
 
 
-def write_sequence(path: str, seq: Sequence):
-    with open(path, "w") as f:
-        f.write("t,i,j,kind,param\n")
-        for t, ((i, j), lf) in enumerate(seq.rounds, start=1):
-            f.write(f"{t},{i},{j},{lf.kind},{lf.param:.12g}\n")
-
-
 def _config_argv(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """A key = value config file as flags, for parsing ahead of the command line."""
     try:
@@ -113,11 +105,6 @@ def _config_argv(path: str, parser: argparse.ArgumentParser) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _params(args) -> Params:
-    return Params(n=args.n, T=args.T, m=args.m, tau0=args.tau0, G=args.G,
-                  eta=getattr(args, "eta", None))
-
 
 @contextmanager
 def _usage(args):
@@ -199,7 +186,7 @@ def _play(cfg: OmpConfig, seed: int, seq, comp, start: float,
 def cmd_run(args) -> int:
     problem = PROBLEMS[args.problem]
     with _usage(args):
-        p = _params(args)
+        p = Params(n=args.n, T=args.T, m=args.m, tau0=args.tau0, G=args.G, eta=args.eta)
         cfg = problem.config(p)
     comparator = None if args.no_comparator else partial(problem.comparator, p)
     sequence = _sequences(args, p)
@@ -211,6 +198,8 @@ def cmd_run(args) -> int:
     print(f"rounds           {p.T}")
     print(f"eta              {cfg.eta:.6g}")
     print(f"theoretical bound {cfg.regret_bound():.6f}")
+    if args.adversary == "lowerbound":
+        print(f"theorem value    {problem.lower_bound.theorem(p):.6f}")
     last = args.seed + args.seeds - 1   # --out is the last seed's trace
     reports = [_play(cfg, *game, args.out if game[0] == last else None)
                for game in itertools.chain([first], games)]
@@ -219,6 +208,8 @@ def cmd_run(args) -> int:
     regrets = [r.regret for r in reports]
     satisfied = all(r.bound_satisfied for r in reports)
     print(f"mean regret      {np.mean(regrets):.6f}")
+    if len(regrets) > 1:
+        print(f"stddev regret    {np.std(regrets, ddof=1):.6f}")
     print(f"max regret       {max(regrets):.6f}")
     print(f"bound satisfied  {satisfied}")
     return 0 if satisfied else 1
@@ -259,21 +250,6 @@ def cmd_decompose(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_lowerbound(args) -> int:
-    lb = PROBLEMS[args.problem].lower_bound
-    with _usage(args):
-        p = _params(args)
-        cfg = PROBLEMS[args.problem].config(p)
-    games = _games(args, partial(lb.adversary, p), partial(lb.comparator, p))
-    regrets = np.array([_play(cfg, *game).regret for game in games])
-    print(f"seeds            {args.seeds}")
-    print(f"mean regret      {regrets.mean():.4f}")
-    if args.seeds > 1:
-        print(f"stddev regret    {regrets.std(ddof=1):.4f}")
-    print(f"theorem value    {lb.theorem(p):.4f}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 
 def _count(text: str) -> int:
@@ -283,19 +259,6 @@ def _count(text: str) -> int:
     return k
 
 
-def _experiment_flags(parser: argparse.ArgumentParser, tau0: float | None, T: int):
-    """The flags `run` and `lowerbound` share, with the command's own tau0
-    and T defaults. Each command gets its own actions: argparse `parents=`
-    would share them, and one command's defaults would overwrite the other's."""
-    parser.add_argument("--n", type=int, default=8)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--tau0", type=float, default=tau0, help="trace-norm bound (cf)")
-    parser.add_argument("--G", type=float, default=1.0, help="Lipschitz bound (cf)")
-    parser.add_argument("--T", type=int, default=T)
-    parser.add_argument("--seed", type=int, default=1, help="first seed")
-    parser.add_argument("--seeds", type=_count, default=1, help="number of seeds")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matpred",
                                      description="Online matrix prediction harness")
@@ -303,7 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the learner against an adversary")
     run.add_argument("--problem", choices=list(PROBLEMS), required=True)
-    _experiment_flags(run, tau0=None, T=1000)
+    run.add_argument("--n", type=int, default=8)
+    run.add_argument("--m", type=int, default=None)
+    run.add_argument("--tau0", type=float, default=None, help="trace-norm bound (cf)")
+    run.add_argument("--G", type=float, default=1.0, help="Lipschitz bound (cf)")
+    run.add_argument("--T", type=int, default=1000)
+    run.add_argument("--seed", type=int, default=1, help="first seed")
+    run.add_argument("--seeds", type=_count, default=1, help="number of seeds")
     run.add_argument("--eta", type=float, default=None, help="learning rate override")
     run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random")
     run.add_argument("--sequence-file", default=None)
@@ -322,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--file", default=None, help="matrix file (tracenorm)")
     dec.add_argument("--dump", default=None, help="dump P/N matrices to this prefix")
     dec.set_defaults(func=cmd_decompose, parser=dec)
-
-    lb = sub.add_parser("lowerbound", help="aggregate a lower-bound adversary over seeds")
-    lb.add_argument("--problem", required=True,
-                    choices=[name for name, pr in PROBLEMS.items() if pr.lower_bound])
-    _experiment_flags(lb, tau0=4.0, T=4096)
-    lb.set_defaults(func=cmd_lowerbound, parser=lb)
 
     return parser
 

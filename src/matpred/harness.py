@@ -2,9 +2,10 @@
 
 Each comparison class plugs into the one learner through a `Problem`
 entry: its config, its random adversary, its offline comparator and, where
-the paper proves one, its lower-bound construction with the planted
-comparator and the theorem's regret value. The CLI reads `PROBLEMS`
-rather than branching on the problem name.
+the paper proves one, its lower-bound construction and the theorem's
+regret value. The one comparator serves every adversary: on the
+lower-bound sequences the exact best member is the planted one. The CLI
+reads `PROBLEMS` rather than branching on the problem name.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class Params:
     m defaults to n, and the trace-norm bound tau0 (read by CF alone)
     defaults to m. The configs of the n x n classes (max-cut, gambling)
     reject any other m. A G or a tau0 that is not finite and > 0 is a
-    ValueError, on every problem.
+    ValueError, on every problem, and so is an n or an m below 1.
     """
 
     n: int
@@ -38,6 +39,8 @@ class Params:
     def __post_init__(self):
         if self.m is None:
             object.__setattr__(self, "m", self.n)
+        if min(self.n, self.m) < 1:
+            raise ValueError(f"n and m must be >= 1, got n={self.n}, m={self.m}")
         if self.tau0 is None:
             object.__setattr__(self, "tau0", float(self.m))
         if not all(math.isfinite(v) and v > 0 for v in (self.G, self.tau0)):
@@ -47,11 +50,10 @@ class Params:
 
 @dataclass(frozen=True)
 class LowerBound:
-    """A stochastic adversary, its planted comparator's loss on a sequence,
-    and the regret the theorem says the adversary forces."""
+    """A stochastic adversary (params, seed) and the regret the theorem
+    says it forces. The problem's own comparator scores its sequences."""
 
     adversary: Callable[[Params, int], Sequence]
-    comparator: Callable[[Params, Sequence], float]
     theorem: Callable[[Params], float]
 
 
@@ -73,18 +75,13 @@ def _square(p: Params) -> int:
     return p.n
 
 
-def _best_cut_loss(p: Params, seq: Sequence) -> float:
-    return problems.best_cut_bruteforce(seq.rounds, seq.n)[1]
-
-
 PROBLEMS = {
     "maxcut": Problem(
         config=lambda p: problems.maxcut_config(_square(p), p.T, eta=p.eta),
         adversary=lambda p, seed: adversaries.random_adversary("maxcut", p.m, p.n, p.T, seed),
-        comparator=_best_cut_loss,
+        comparator=lambda p, seq: problems.best_cut_bruteforce(seq.rounds, seq.n)[1],
         lower_bound=LowerBound(
             adversary=lambda p, seed: adversaries.maxcut_lb(p.n, p.T, seed),
-            comparator=_best_cut_loss,
             theorem=lambda p: math.sqrt(p.n * p.T / 16),
         ),
     ),
@@ -99,8 +96,6 @@ PROBLEMS = {
         comparator=lambda p, seq: problems.best_cf_subgradient(seq.rounds, seq.m, seq.n, p.tau0)[1],
         lower_bound=LowerBound(
             adversary=lambda p, seed: adversaries.cf_lb(p.m, p.n, p.tau0, p.G, p.T, seed),
-            comparator=lambda p, seq: problems.comparator_matrix_value(
-                seq.rounds, adversaries.cf_lb_comparator(seq, p.tau0, p.G)),
             theorem=lambda p: p.G * math.sqrt(0.5 * p.tau0 * math.sqrt(p.n) * p.T),
         ),
     ),

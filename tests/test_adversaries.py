@@ -11,7 +11,7 @@ from matpred.adversaries import (
     random_adversary,
 )
 from matpred.linalg import trace_norm
-from matpred.problems import comparator_matrix_value
+from matpred.problems import CF_GAP_TOL, best_cf_subgradient, comparator_matrix_value
 
 
 class TestDeterminism:
@@ -120,6 +120,21 @@ class TestCfLb:
         assert np.max(np.abs(W)) <= 1.0
         # rank <= tau0/sqrt(n) rows of unit entries: trace norm <= tau0
         assert trace_norm(W) <= 4.0 + 1e-9
+
+    @pytest.mark.parametrize("m, n, tau0", [(4, 4, 2.0), (4, 4, 4.0), (8, 4, 6.0),
+                                            (6, 9, 6.0), (4, 16, 8.0), (16, 16, 8.0)])
+    @pytest.mark.parametrize("G", [0.37, 2.5])
+    def test_exact_comparator_is_planted(self, m, n, tau0, G):
+        # The planted +-1 block on r = tau0/sqrt(n) rows has trace norm at
+        # most sqrt(r) ||W||_F = tau0, so the box optimum -G sum |interval
+        # sums| is a member of the class: the problem's exact comparator
+        # finds the planted value, and lower-bound runs need no other.
+        T = 4 * round(tau0 * math.sqrt(n))
+        for seed in (1, 2):
+            seq = cf_lb(m, n, tau0, G, T, seed)
+            planted = comparator_matrix_value(seq.rounds, cf_lb_comparator(seq, tau0, G))
+            _, loss = best_cf_subgradient(seq.rounds, m, n, tau0)
+            assert abs(loss - planted) <= CF_GAP_TOL * (1 + abs(planted))
 
 
 class TestRandomAdversary:

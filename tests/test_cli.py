@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from matpred import harness
 from matpred.adversaries import Sequence, random_adversary
-from matpred.cli import (build_parser, main, read_matrix, read_sequence, write_matrix,
-                         write_sequence)
+from matpred.cli import build_parser, main, read_matrix, read_sequence, write_matrix
 from matpred.harness import run_learner
 from matpred.problems import LossFn, maxcut_config
 
@@ -30,6 +29,14 @@ def seed_lines(out: str) -> list[tuple[int, float, float, float]]:
 
 def value(out: str, label: str) -> float:
     return float(re.search(rf"^{re.escape(label)} +(\S+)$", out, re.M)[1])
+
+
+def write_sequence(path: str, seq: Sequence):
+    """The sequence CSV that read_sequence reads."""
+    with open(path, "w") as f:
+        f.write("t,i,j,kind,param\n")
+        for t, ((i, j), lf) in enumerate(seq.rounds, start=1):
+            f.write(f"{t},{i},{j},{lf.kind},{lf.param:.12g}\n")
 
 
 class TestMatrixIo:
@@ -92,11 +99,9 @@ class TestSequenceIo:
 class TestParser:
     @pytest.mark.parametrize("command, defaults", [
         ("run", dict(n=8, m=None, tau0=None, G=1.0, T=1000, seed=1, seeds=1)),
-        ("lowerbound", dict(n=8, m=None, tau0=4.0, G=1.0, T=4096, seed=1, seeds=1)),
     ])
     def test_shared_flag_defaults(self, command, defaults):
-        # run and lowerbound declare the same flags with their own tau0 and T
-        # defaults; neither command's defaults leak into the other's.
+        # Every adversary of `run` shares these defaults.
         args = build_parser().parse_args([command, "--problem", "maxcut"])
         assert {key: getattr(args, key) for key in defaults} == defaults
 
@@ -133,14 +138,21 @@ class TestRunCommand:
         assert main(flags + ["--seed", "3", "--out", str(one)]) == 0
         assert many.read_text() == one.read_text()
 
-    def test_lowerbound_adversary(self, capsys):
-        # `run --adversary lowerbound` plays the lower-bound command's
-        # adversary against the same brute-force comparator.
-        flags = ["--problem", "maxcut", "--n", "4", "--T", "8", "--seed", "1", "--seeds", "2"]
-        assert main(["run", "--adversary", "lowerbound"] + flags) == 0
-        run = seed_lines(capsys.readouterr().out)
-        assert main(["lowerbound"] + flags) == 0
-        assert len(run) == 2 and run == seed_lines(capsys.readouterr().out)
+    def test_stddev_regret_needs_two_seeds(self, capsys):
+        flags = ["run", "--problem", "maxcut", "--n", "4", "--T", "20"]
+        assert main(flags + ["--seeds", "2"]) == 0
+        out = capsys.readouterr().out
+        regrets = [row[3] for row in seed_lines(out)]
+        assert value(out, "stddev regret") == pytest.approx(np.std(regrets, ddof=1), abs=1e-6)
+        assert main(flags + ["--seeds", "1"]) == 0
+        assert "stddev regret" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_bad_size_names_n_and_m(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "cf", "--n", "4", "--T", "5", flag, "0"])
+        assert exc.value.code == 2
+        assert "error: n and m must be >= 1" in capsys.readouterr().err
 
     def test_sequence_file_adversary(self, tmp_path, capsys):
         seq = random_adversary("maxcut", 4, 4, T=30, seed=5)
@@ -280,24 +292,33 @@ class TestDecomposeCommand:
 
 
 class TestLowerboundCommand:
+    """`run --adversary lowerbound`, the one command for a lower-bound adversary."""
+
     def test_maxcut_small(self, capsys):
-        rc = main(["lowerbound", "--problem", "maxcut", "--n", "4", "--T", "64",
-                   "--seed", "1", "--seeds", "2"])
+        rc = main(["run", "--adversary", "lowerbound", "--problem", "maxcut", "--n", "4",
+                   "--T", "64", "--seed", "1", "--seeds", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "mean regret" in out and "theorem value" in out
+        assert "mean regret" in out and "stddev regret" in out
+        assert value(out, "theorem value") == 4.0
 
     def test_gambling_rejected(self, capsys):
-        # argparse exits with SystemExit(2) on bad choices
         with pytest.raises(SystemExit) as exc:
-            main(["lowerbound", "--problem", "gambling"])
+            main(["run", "--adversary", "lowerbound", "--problem", "gambling"])
         assert exc.value.code == 2
+        assert "no lower-bound adversary for gambling" in capsys.readouterr().err
 
     def test_cf_small(self, capsys):
-        rc = main(["lowerbound", "--problem", "cf", "--m", "4", "--n", "4",
-                   "--tau0", "4.0", "--T", "32", "--seeds", "1"])
-        assert rc == 0
-        assert "theorem value" in capsys.readouterr().out
+        flags = ["run", "--adversary", "lowerbound", "--problem", "cf", "--m", "4", "--n", "4",
+                 "--tau0", "4.0", "--T", "32", "--seeds", "1"]
+        assert main(flags) == 0
+        out = capsys.readouterr().out
+        theorem = pytest.approx(8 * math.sqrt(2), abs=1e-6)   # G sqrt(tau0 sqrt(n) T / 2)
+        assert "mean regret" in out and value(out, "theorem value") == theorem
+        # The theorem value belongs to the adversary, so it shows without a comparator too.
+        assert main(flags + ["--no-comparator"]) == 0
+        out = capsys.readouterr().out
+        assert "mean regret" not in out and value(out, "theorem value") == theorem
 
 
 class TestRunLearner:
@@ -313,7 +334,9 @@ class TestRunLearner:
 
 # The numbers below are those of the former sweep scripts on the same seeds:
 # run_regret.py --n 4 --T 40 --seeds 3 (plus --m 4 --tau0 4 for cf) and
-# run_lowerbounds.py --n 4 --T 64 --cf-m 4 --cf-n 4 --tau0 4 --seeds 2.
+# run_lowerbounds.py --n 4 --T 64 --cf-m 4 --cf-n 4 --tau0 4 --seeds 2, now
+# run --adversary lowerbound with those flags, which scores the lower-bound
+# sequences with the problem's own exact comparator.
 # The gambling rows are re-pinned since the absolute losses' subgradient
 # is 0 within CLAMP_SLACK of the kink, and the cf row since its comparator
 # is solved to a certified duality gap.
@@ -354,8 +377,8 @@ class TestSweepParity:
     @pytest.mark.parametrize("problem", sorted(SWEEP_LOWERBOUNDS))
     def test_lowerbound(self, problem, capsys):
         theorem, rows = SWEEP_LOWERBOUNDS[problem]
-        rc = main(["lowerbound", "--problem", problem, "--n", "4", "--m", "4", "--tau0", "4",
-                   "--T", "64", "--seed", "1", "--seeds", "2"])
+        rc = main(["run", "--adversary", "lowerbound", "--problem", problem, "--n", "4",
+                   "--m", "4", "--tau0", "4", "--T", "64", "--seed", "1", "--seeds", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert seed_lines(out) == [pytest.approx(r, abs=1e-6) for r in rows]
@@ -405,7 +428,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("run", "--problem", "maxcut", "--seeds", "0"),
         ("run", "--problem", "maxcut", "--config", "missing.cfg"),
-        ("lowerbound", "--problem", "gambling"),
+        ("lowerbound",),
         ("run", "--problem", "gambling", "--adversary", "lowerbound"),
         ("run", "--problem", "maxcut", "--adversary", "file"),
         ("run", "--problem", "maxcut", "--adversary", "file", "--sequence-file", "missing.csv"),
@@ -419,15 +442,17 @@ class TestExitCodes:
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "100"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--m", "0"),
         ("run", "--problem", "maxcut", "--n", "1", "--T", "5"),
-        ("lowerbound", "--problem", "cf", "--T", "10", "--G", "0"),
-        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "0", "--T", "16"),
+        ("run", "--adversary", "lowerbound", "--problem", "cf", "--T", "10", "--G", "0"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "0", "--T", "16"),
         ("decompose", "cut", "--n", "0"),
         ("decompose", "permutation", "--perm", "1,1"),
         ("verify", "all"),
         ("decompose", "cut", "--tol", "1e-8"),
         ("run", "--problem", "gambling", "--n", "9", "--T", "200"),
-        ("lowerbound", "--problem", "maxcut", "--n", "5", "--T", "10"),
-        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "3", "--T", "16"),
+        ("run", "--adversary", "lowerbound", "--problem", "maxcut", "--n", "5", "--T", "10"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "cf", "--m", "4", "--n", "4", "--tau0", "3", "--T", "16"),
         file_run("1,1,9,absolute,1"),
         file_run("1,1,2,absolute"),
         file_run("1,1,2,absolute,1", "2,2,1,absolute,1", "3,1,3,absolute,1"),
@@ -437,7 +462,8 @@ class TestExitCodes:
         ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--eta", "inf"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "inf"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "nan"),
-        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "nan"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "nan"),
         ("run", "--problem", "gambling", "--n", "5", "--m", "7", "--T", "2",
          "--adversary", "file", "--sequence-file", Rows(["1,7,2,absolute,1"])),
         ("run", "--problem", "gambling", "--n", "5", "--m", "7", "--T", "2", "--no-comparator",
@@ -446,11 +472,14 @@ class TestExitCodes:
          "--adversary", "file", "--sequence-file", Rows(["1,7,2,absolute_halved,1"])),
         ("run", "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "2"),
         ("run", "--problem", "gambling", "--n", "5", "--m", "7", "--T", "2"),
-        ("lowerbound", "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "16"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "maxcut", "--n", "4", "--m", "7", "--T", "16"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e200"),
-        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e200"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e200"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e-200"),
-        ("lowerbound", "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e-200"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "cf", "--m", "4", "--n", "4", "--T", "16", "--G", "1e-200"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--G", "1e-160"),
         ("run", "--problem", "cf", "--n", "4", "--T", "5", "--tau0", "1e-300", "--G", "1e150"),
         # tau / 2p underflows to 0, whose log the initial iterate would take
@@ -458,7 +487,8 @@ class TestExitCodes:
         # --G and --tau0 are checked on the problems whose configs never read them
         ("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--G", "nan"),
         ("run", "--problem", "gambling", "--n", "4", "--T", "5", "--G", "-3", "--tau0", "nan"),
-        ("lowerbound", "--problem", "maxcut", "--n", "4", "--T", "8", "--G", "inf", "--tau0", "-1"),
+        ("run", "--adversary", "lowerbound",
+         "--problem", "maxcut", "--n", "4", "--T", "8", "--G", "inf", "--tau0", "-1"),
         # eta * G past the step's exp range (about 700 here): gambling's G is
         # 1, and cf n = 7 at 715 once failed mid-run in the projection
         ("run", "--problem", "gambling", "--n", "4", "--T", "50", "--eta", "1000", "--no-comparator"),
