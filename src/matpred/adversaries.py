@@ -48,8 +48,10 @@ def _interval_rounds(rng: np.random.Generator, pairs, length: int, loss) -> tupl
 def maxcut_lb(n: int, T: int, seed: int) -> Sequence:
     """The interval adversary: n/2 blocks of length 2T/n, block i querying
     the fixed pair (i, i + n/2) with independent Rademacher labels."""
-    if n % 2 != 0 or T % (n // 2) != 0:
-        raise ValueError("need n even and T divisible by n/2")
+    if n % 2 != 0:
+        raise ValueError(f"n={n}: the max-cut lower bound needs n even")
+    if T % (n // 2) != 0:
+        raise ValueError(f"T={T}, n={n}: T must be divisible by n/2={n // 2}")
     pairs = [(i, i + n // 2) for i in range(1, n // 2 + 1)]
     rounds = _interval_rounds(_rng(seed), pairs, 2 * T // n, lambda y: LossFn("absolute_halved", y))
     return Sequence(m=n, n=n, rounds=rounds)
@@ -60,14 +62,15 @@ def cf_lb(m: int, n: int, tau0: float, G: float, T: int, seed: int) -> Sequence:
     interval per sub-matrix entry, Rademacher-signed linear losses of
     slope G."""
     rows = tau0 / math.sqrt(n)
-    intervals = tau0 * math.sqrt(n)
-    if abs(rows - round(rows)) > 1e-9 or abs(intervals - round(intervals)) > 1e-9:
-        raise ValueError("need tau0/sqrt(n) integral")
-    rows, intervals = round(rows), round(intervals)
+    if abs(rows - round(rows)) > 1e-9:
+        raise ValueError(f"tau0={tau0}, n={n}: tau0/sqrt(n)={rows:.3g} is not an integer")
+    rows = round(rows)
+    intervals = rows * n   # tau0 * sqrt(n)
     if rows > m:
-        raise ValueError("tau0/sqrt(n) exceeds m")
+        raise ValueError(f"tau0={tau0}, n={n}, m={m}: tau0/sqrt(n)={rows} exceeds m")
     if T % intervals != 0:
-        raise ValueError(f"need T divisible by tau0*sqrt(n) = {intervals}")
+        raise ValueError(f"T={T}, tau0={tau0}, n={n}: T must be divisible by "
+                         f"tau0*sqrt(n)={intervals}")
     pairs = [(i, j) for i in range(1, rows + 1) for j in range(1, n + 1)]
     rounds = _interval_rounds(_rng(seed), pairs, T // intervals, lambda s: LossFn("linear", s * G))
     return Sequence(m=m, n=n, rounds=rounds)

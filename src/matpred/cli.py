@@ -78,31 +78,6 @@ def read_sequence(path: str, m: int, n: int, T: int) -> Sequence:
     return Sequence(m=m, n=n, rounds=tuple(rounds))
 
 
-def _config_argv(path: str, parser: argparse.ArgumentParser) -> list[str]:
-    """A key = value config file as flags, for parsing ahead of the command line."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    argv = []
-    for line in lines:
-        line = line.split("#")[0].strip()
-        if line:
-            key, _, val = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            action = parser._option_string_actions.get(flag)
-            if action is None:
-                parser.error(f"unknown config key {key.strip()!r}")
-            if action.nargs != 0:
-                argv.append(f"{flag}={val.strip()}")
-            elif val.strip() not in ("true", "false"):
-                parser.error(f"config key {key.strip()!r} takes true or false")
-            elif val.strip() == "true":
-                argv.append(flag)
-    return argv
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -144,6 +119,8 @@ def _writable(args, *paths: str):
 
 def _sequences(args, p: Params):
     """The adversary's sequence as a function of the seed."""
+    if args.sequence_file is not None and args.adversary != "file":
+        args.parser.error("--sequence-file is read only with --adversary file")
     if args.adversary == "file":
         seq = _read(args, "sequence_file", read_sequence, p.m, p.n, p.T)
         return lambda seed: seq
@@ -274,12 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=1, help="first seed")
     run.add_argument("--seeds", type=_count, default=1, help="number of seeds")
     run.add_argument("--eta", type=float, default=None, help="learning rate override")
-    run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random")
-    run.add_argument("--sequence-file", default=None)
+    run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random",
+                     help="lowerbound takes, on maxcut, n even and T divisible by n/2; on cf, "
+                          "tau0/sqrt(n) an integer at most m and T divisible by tau0*sqrt(n), "
+                          "e.g. --m 4 --n 4 --tau0 4 --T 16")
+    run.add_argument("--sequence-file", default=None, help="sequence CSV (--adversary file)")
     run.add_argument("--out", default=None, help="CSV trace path (of the last seed)")
     run.add_argument("--no-comparator", action="store_true",
                      help="skip the offline comparator and the regret report")
-    run.add_argument("--config", default=None, help="key = value config file; flags win")
     run.set_defaults(func=cmd_run, parser=run)
 
     dec = sub.add_parser("decompose", help="construct and validate a decomposition")
@@ -296,12 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        # The subcommand comes first; flags parsed later win over the file's.
-        args = parser.parse_args(argv[:1] + _config_argv(args.config, args.parser) + argv[1:])
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, IndexError, RuntimeError, MemoryError) as exc:

@@ -50,10 +50,10 @@ class TestMaxcutLb:
         assert abs(mean) < 0.1
 
     def test_divisibility_errors(self):
-        with pytest.raises(ValueError):
-            maxcut_lb(3, 30, seed=0)  # odd n
-        with pytest.raises(ValueError):
-            maxcut_lb(4, 41, seed=0)  # T not divisible by n/2
+        with pytest.raises(ValueError, match="n=3: .* needs n even"):
+            maxcut_lb(3, 30, seed=0)
+        with pytest.raises(ValueError, match="T=41, n=4: T must be divisible by n/2=2"):
+            maxcut_lb(4, 41, seed=0)
 
     def test_pair_comparator_value(self):
         # per block, the best fixed prediction on the pair loses
@@ -94,12 +94,12 @@ class TestCfLb:
         assert all(ij == (1, 1) for ij, _ in seq.rounds[:length])
 
     def test_divisibility_errors(self):
-        with pytest.raises(ValueError):
-            cf_lb(4, 3, tau0=4.0, G=1.0, T=60, seed=0)  # tau0/sqrt(3) not integral
-        with pytest.raises(ValueError):
-            cf_lb(4, 4, tau0=4.0, G=1.0, T=63, seed=0)  # T not divisible
-        with pytest.raises(ValueError):
-            cf_lb(1, 4, tau0=4.0, G=1.0, T=64, seed=0)  # rows > m
+        with pytest.raises(ValueError, match=r"tau0=4.0, n=3: tau0/sqrt\(n\)=2.31 is not an integer"):
+            cf_lb(4, 3, tau0=4.0, G=1.0, T=60, seed=0)
+        with pytest.raises(ValueError, match=r"T=63, tau0=4.0, n=4: .* by tau0\*sqrt\(n\)=8"):
+            cf_lb(4, 4, tau0=4.0, G=1.0, T=63, seed=0)
+        with pytest.raises(ValueError, match=r"tau0=4.0, n=4, m=1: tau0/sqrt\(n\)=2 exceeds m"):
+            cf_lb(1, 4, tau0=4.0, G=1.0, T=64, seed=0)
 
     def test_comparator_matches_sign_sums(self):
         m = n = 4

@@ -170,62 +170,25 @@ class TestRunCommand:
         assert "cumulative loss" in out
         assert "comparator loss" not in out and "bound satisfied" not in out
 
-    def test_config_file_fills_defaults(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("n = 4\nT = 40  # horizon\n")
-        rc = main(["run", "--problem", "maxcut", "--seed", "2",
-                   "--config", str(cfgfile)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "rounds           40" in out
-
-    def test_flags_beat_config_file(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("T = 40\n")
-        rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "20",
-                   "--config", str(cfgfile)])
-        assert rc == 0
-        assert "rounds           20" in capsys.readouterr().out
-
-    def test_config_file_eta_is_cast_to_float(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("eta = 0.1\n")
-        rc = main(["run", "--problem", "maxcut", "--n", "4", "--T", "10",
-                   "--config", str(cfgfile)])
-        assert rc == 0
-        assert value(capsys.readouterr().out, "eta") == 0.1
-
-    def test_config_file_tau0_and_m_are_read(self, tmp_path, capsys):
+    def test_tau0_and_m_set_the_cf_bound(self, capsys):
         base = ["run", "--problem", "cf", "--n", "4", "--T", "10", "--no-comparator"]
         assert main(base) == 0
         default_bound = value(capsys.readouterr().out, "theoretical bound")
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("tau0 = 2\nm = 3\n")
-        assert main(base + ["--config", str(cfgfile)]) == 0
+        assert main(base + ["--tau0", "2", "--m", "3"]) == 0
         bound = value(capsys.readouterr().out, "theoretical bound")
         # 2 G sqrt(2 tau0 sqrt(m + n) log(2 (m + n)) T)
         assert bound == pytest.approx(2 * np.sqrt(4.0 * np.sqrt(7) * np.log(14) * 10), abs=1e-6)
         assert bound != pytest.approx(default_bound)
 
-    def test_config_file_switch(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("no_comparator = true\n")
-        assert main(["run", "--problem", "cf", "--n", "4", "--T", "10",
-                     "--config", str(cfgfile)]) == 0
-        assert "comparator loss" not in capsys.readouterr().out
-        cfgfile.write_text("no_comparator = yes\n")
+    def test_sequence_file_needs_file_adversary(self, tmp_path, capsys):
+        path = tmp_path / "seq.csv"
+        write_sequence(str(path), random_adversary("maxcut", 4, 4, T=10, seed=5))
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--problem", "cf", "--config", str(cfgfile)])
+            main(["run", "--problem", "maxcut", "--n", "4", "--T", "10",
+                  "--sequence-file", str(path)])
         assert exc.value.code == 2
-        assert "takes true or false" in capsys.readouterr().err
-
-    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("bogus = 1\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--problem", "maxcut", "--config", str(cfgfile)])
-        assert exc.value.code == 2
-        assert "unknown config key 'bogus'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--sequence-file" in err and "--adversary file" in err
 
     def test_diagonal_query_is_error(self, tmp_path, capsys):
         path = tmp_path / "seq.csv"
@@ -307,6 +270,13 @@ class TestLowerboundCommand:
             main(["run", "--adversary", "lowerbound", "--problem", "gambling"])
         assert exc.value.code == 2
         assert "no lower-bound adversary for gambling" in capsys.readouterr().err
+
+    def test_cf_default_sizes_name_tau0_and_n(self, capsys):
+        # The defaults m = n = tau0 = 8 put tau0/sqrt(n) = 2.83 rows under the construction.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--adversary", "lowerbound", "--problem", "cf"])
+        assert exc.value.code == 2
+        assert "tau0=8.0, n=8: tau0/sqrt(n)=2.83 is not an integer" in capsys.readouterr().err
 
     def test_cf_small(self, capsys):
         flags = ["run", "--adversary", "lowerbound", "--problem", "cf", "--m", "4", "--n", "4",
@@ -427,7 +397,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("run", "--problem", "maxcut", "--seeds", "0"),
-        ("run", "--problem", "maxcut", "--config", "missing.cfg"),
+        ("run", "--problem", "maxcut", "--n", "4", "--T", "10", "--sequence-file", "missing.csv"),
         ("lowerbound",),
         ("run", "--problem", "gambling", "--adversary", "lowerbound"),
         ("run", "--problem", "maxcut", "--adversary", "file"),
