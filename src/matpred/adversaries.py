@@ -25,9 +25,6 @@ class Sequence:
     n: int
     rounds: tuple
 
-    def __len__(self):
-        return len(self.rounds)
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))

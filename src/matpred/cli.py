@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 invariant/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 import time
@@ -21,8 +20,8 @@ import numpy as np
 from . import decompose
 from .adversaries import Sequence
 from .harness import PROBLEMS, Params, run_learner
-from .omp import OmpConfig, entry_index
-from .problems import LossFn, RegretReport, evaluate_run
+from .omp import check_lipschitz, entry_index
+from .problems import LossFn, evaluate_run
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +48,13 @@ def write_matrix(path: str, W: np.ndarray):
     np.savetxt(path, W, fmt="%.12g", header=f"{W.shape[0]} {W.shape[1]}", comments="")
 
 
-def read_sequence(path: str, m: int, n: int, T: int) -> Sequence:
-    """Sequence CSV: t,i,j,kind,param, one round a row, for an m x n class.
+def read_sequence(path: str, m: int, n: int, T: int, G: float) -> Sequence:
+    """Sequence CSV: t,i,j,kind,param, one round a row, for an m x n class
+    with Lipschitz bound G.
 
     A malformed row, an entry outside [1..m] x [1..n], a loss LossFn
-    rejects, or more than T rounds raises ValueError naming the line.
+    rejects or one steeper than G, or more than T rounds raises ValueError
+    naming the line.
     """
     rounds = []
     with open(path) as f:
@@ -67,6 +68,7 @@ def read_sequence(path: str, m: int, n: int, T: int) -> Sequence:
                 t, i, j, kind, param = line.strip().split(",")
                 _, i, j = map(int, (t, i, j))
                 lf = LossFn(kind, float(param))
+                check_lipschitz("loss slope", lf.lipschitz, G)
                 entry_index(i, j, m, n)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad row {line.strip()!r}: {exc}") from None
@@ -117,12 +119,13 @@ def _writable(args, *paths: str):
             args.parser.error(f"cannot write {path}: {exc.strerror}")
 
 
-def _sequences(args, p: Params):
-    """The adversary's sequence as a function of the seed."""
+def _sequences(args, p: Params, G: float):
+    """The adversary's sequence as a function of the seed; a sequence file
+    is read for a class with Lipschitz bound G."""
     if args.sequence_file is not None and args.adversary != "file":
         args.parser.error("--sequence-file is read only with --adversary file")
     if args.adversary == "file":
-        seq = _read(args, "sequence_file", read_sequence, p.m, p.n, p.T)
+        seq = _read(args, "sequence_file", read_sequence, p.m, p.n, p.T, G)
         return lambda seed: seq
     if args.adversary == "lowerbound":
         lb = PROBLEMS[args.problem].lower_bound
@@ -132,55 +135,36 @@ def _sequences(args, p: Params):
     return partial(PROBLEMS[args.problem].adversary, p)
 
 
-def _games(args, sequence, comparator):
-    """Each seed with its sequence, its comparator loss (None without a
-    comparator) and the time its inputs were started. A ValueError from
-    either input is a usage error, raised before that seed's rounds."""
-    for seed in range(args.seed, args.seed + args.seeds):
-        start = time.perf_counter()
-        with _usage(args):
-            seq = sequence(seed)
-            comp = None if comparator is None else comparator(seq)
-        yield seed, seq, comp, start
-
-
-def _play(cfg: OmpConfig, seed: int, seq, comp, start: float,
-          trace_path=None) -> RegretReport | None:
-    """Run the learner on one seed's inputs from _games and print its line;
-    returns its regret report against cfg.regret_bound(), or None without
-    a comparator."""
-    session, total = run_learner(cfg, seq, trace_path=trace_path)
-    line = f"seed {seed:<4d} cumulative loss {total:.6f}"
-    report = None
-    if comp is not None:
-        report = evaluate_run(total, comp, cfg.regret_bound())
-        line += f"  comparator loss {comp:.6f}  realized regret {report.regret:.6f}"
-    print(f"{line}  max eta*||L|| {session.max_eta_norm:.6g}  "
-          f"({time.perf_counter() - start:.2f}s)")
-    return report
-
-
 def cmd_run(args) -> int:
     problem = PROBLEMS[args.problem]
     with _usage(args):
         p = Params(n=args.n, T=args.T, m=args.m, tau0=args.tau0, G=args.G, eta=args.eta)
         cfg = problem.config(p)
-    comparator = None if args.no_comparator else partial(problem.comparator, p)
-    sequence = _sequences(args, p)
+    sequence = _sequences(args, p, cfg.G)
     if args.out:
         _writable(args, args.out)
-    games = _games(args, sequence, comparator)
-    first = next(games)   # a usage error in the first seed's inputs comes before any output
-    print(f"problem          {args.problem}")
-    print(f"rounds           {p.T}")
-    print(f"eta              {cfg.eta:.6g}")
-    print(f"theoretical bound {cfg.regret_bound():.6f}")
-    if args.adversary == "lowerbound":
-        print(f"theorem value    {problem.lower_bound.theorem(p):.6f}")
     last = args.seed + args.seeds - 1   # --out is the last seed's trace
-    reports = [_play(cfg, *game, args.out if game[0] == last else None)
-               for game in itertools.chain([first], games)]
-    if comparator is None:
+    reports = []
+    for seed in range(args.seed, last + 1):
+        start = time.perf_counter()
+        with _usage(args):
+            seq = sequence(seed)
+            comp = None if args.no_comparator else problem.comparator(p, seq)
+        if seed == args.seed:   # a usage error in the first seed's inputs comes before any output
+            print(f"problem          {args.problem}")
+            print(f"rounds           {p.T}")
+            print(f"eta              {cfg.eta:.6g}")
+            print(f"theoretical bound {cfg.regret_bound():.6f}")
+            if args.adversary == "lowerbound":
+                print(f"theorem value    {problem.lower_bound.theorem(p):.6f}")
+        session, total = run_learner(cfg, seq, trace_path=args.out if seed == last else None)
+        line = f"seed {seed:<4d} cumulative loss {total:.6f}"
+        if comp is not None:
+            reports.append(evaluate_run(total, comp, cfg.regret_bound()))
+            line += f"  comparator loss {comp:.6f}  realized regret {reports[-1].regret:.6f}"
+        print(f"{line}  max eta*||L|| {session.max_eta_norm:.6g}  "
+              f"({time.perf_counter() - start:.2f}s)")
+    if args.no_comparator:
         return 0
     regrets = [r.regret for r in reports]
     satisfied = all(r.bound_satisfied for r in reports)
@@ -197,8 +181,7 @@ def cmd_decompose(args) -> int:
         _writable(args, args.dump + ".P", args.dump + ".N")
     with _usage(args):
         if args.klass == "cut":
-            members = frozenset(int(x) for x in args.set.split(",")) if args.set else frozenset()
-            c = decompose.CutSet(n=args.n, members=members)
+            c = decompose.CutSet(n=args.n, members=frozenset(args.set))
             d = decompose.decompose_cut(c)
             W = decompose.cut_matrix(c)
         elif args.klass == "triangular":
@@ -207,8 +190,7 @@ def cmd_decompose(args) -> int:
         elif args.klass == "permutation":
             if args.perm is None:
                 args.parser.error("decompose permutation needs --perm")
-            mapping = tuple(int(x) for x in args.perm.split(","))
-            pi = decompose.Permutation(n=len(mapping), mapping=mapping)
+            pi = decompose.Permutation(n=len(args.perm), mapping=args.perm)
             d = decompose.decompose_permutation(pi)
             W = decompose.perm_matrix(pi)
         else:  # tracenorm
@@ -229,11 +211,25 @@ def cmd_decompose(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _count(text: str) -> int:
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"expected a count >= 1, got {text}")
-    return k
+def _at_least(lo: int):
+    """The argparse type of an integer >= lo."""
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            k = None
+        if k is None or k < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return k
+    return parse
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """The argparse type of comma-separated integers; the empty string is none."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tau0", type=float, default=None, help="trace-norm bound (cf)")
     run.add_argument("--G", type=float, default=1.0, help="Lipschitz bound (cf)")
     run.add_argument("--T", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=1, help="first seed")
-    run.add_argument("--seeds", type=_count, default=1, help="number of seeds")
+    run.add_argument("--seed", type=_at_least(0), default=1, help="first seed")
+    run.add_argument("--seeds", type=_at_least(1), default=1, help="number of seeds")
     run.add_argument("--eta", type=float, default=None, help="learning rate override")
     run.add_argument("--adversary", choices=["random", "lowerbound", "file"], default="random",
                      help="lowerbound takes, on maxcut, n even and T divisible by n/2; on cf, "
@@ -264,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="construct and validate a decomposition")
     dec.add_argument("klass", choices=["cut", "triangular", "tracenorm", "permutation"])
     dec.add_argument("--n", type=int, default=8)
-    dec.add_argument("--set", default=None, help="cut members, comma separated")
+    dec.add_argument("--set", type=_ints, default=(), help="cut members, comma separated")
     dec.add_argument("--k", type=int, default=3)
-    dec.add_argument("--perm", default=None, help="permutation values, comma separated")
+    dec.add_argument("--perm", type=_ints, default=None, help="permutation values, comma separated")
     dec.add_argument("--file", default=None, help="matrix file (tracenorm)")
     dec.add_argument("--dump", default=None, help="dump P/N matrices to this prefix")
     dec.set_defaults(func=cmd_decompose, parser=dec)

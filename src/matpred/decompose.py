@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, spectrum, sym_average, sym_block, symmetrize
+from .linalg import spectrum, sym_average, sym_block, symmetrize
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,6 @@ class Permutation:
     def __post_init__(self):
         if sorted(self.mapping) != list(range(1, self.n + 1)):
             raise ValueError("mapping is not a bijection on 1..n")
-
-    def matrix(self) -> np.ndarray:
-        """Permutation matrix P with P[i, pi(i)] = 1 (0-based)."""
-        P = np.zeros((self.n, self.n))
-        for i, v in enumerate(self.mapping):
-            P[i, v - 1] = 1.0
-        return P
 
 
 @dataclass(frozen=True)
@@ -224,7 +217,7 @@ def validate(d: Decomposition, W: np.ndarray, tol: float = 1e-8) -> ValidationRe
     """
     W = np.asarray(W, dtype=float)
     if not np.all(np.isfinite(W)):
-        raise DomainError("validate: non-finite entries")
+        raise ValueError("validate: non-finite entries")
     S = W if W.shape == (d.order, d.order) else sym_block(W)
     if S.shape != (d.order, d.order):
         raise ValueError(f"validate: decomposition order {d.order} does not match matrix shape {W.shape}")

@@ -34,10 +34,6 @@ LOG_FLOOR_REL = 1e-12
 _EXP_ARG_MAX = math.log(np.finfo(float).max)
 
 
-class DomainError(ValueError):
-    """Input outside an operation's domain (e.g. a non-finite entry)."""
-
-
 def sym_average(M: np.ndarray) -> np.ndarray:
     """Canonical symmetric representative (M + M.T) / 2."""
     return 0.5 * (M + M.T)
@@ -58,7 +54,7 @@ def symmetrize(W: np.ndarray) -> np.ndarray:
     block embedding [[0, W], [W.T, 0]] otherwise."""
     W = np.asarray(W, dtype=float)
     if not np.all(np.isfinite(W)):
-        raise DomainError("symmetrize: non-finite entries")
+        raise ValueError("symmetrize: non-finite entries")
     if W.shape[0] == W.shape[1] and np.array_equal(W, W.T):
         return W.copy()
     return sym_block(W)

@@ -99,11 +99,6 @@ class ConstraintSet:
         if len({c.A.shape for c in self.constraints}) != 1:
             raise ValueError("a constraint set needs one or more constraints of one order")
 
-    @property
-    def order(self) -> int:
-        """The common order of the constraint matrices."""
-        return len(self.constraints[0].A)
-
 
 def satisfied(value: float, b: float) -> bool:
     """Whether a constraint value A . X <= b holds within the projection's
@@ -148,7 +143,8 @@ def project_qre_log(logY: np.ndarray, cs: ConstraintSet) -> tuple[np.ndarray, np
     weighted = np.zeros_like(logY)
     for j, c in enumerate(cs.constraints):
         # Each coordinate takes its own eigh, even where weighted has not
-        # moved since the last one (ROADMAP item 2 would share them).
+        # moved since the last one: CF keeps four eigh per projection until
+        # ROADMAP item 4.
         lam, V, X = _sweep_spectrum(logY - weighted)
         if is_identity[j]:
             # exp(B - a I) = e^{-a} exp(B): the coordinate solves in

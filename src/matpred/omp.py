@@ -117,10 +117,6 @@ class OmpConfig:
     def p(self) -> int:
         return self.n if self.symmetric_class else self.m + self.n
 
-    @property
-    def gamma(self) -> float:
-        return 4.0 * self.G ** 2
-
     def regret_bound(self) -> float:
         """The closed-form guarantee 2 G sqrt(tau beta log(2p) T)."""
         return 2.0 * self.G * math.sqrt(self.tau * self.beta * math.log(2 * self.p) * self.T)
@@ -277,7 +273,7 @@ def omp_round(session: OmpSession, i: int, j: int, loss_fn) -> tuple[float, OmpS
 
     loss = float(loss_fn.value(yhat))
     g = float(loss_fn.subgradient(yhat))
-    _check_subgradient(g, cfg)
+    check_lipschitz("|g|", abs(g), cfg.G)
     session.max_eta_norm = max(session.max_eta_norm, cfg.eta * abs(g))
 
     session.pending, session.log_pending = exp_step(log_X, g, i, j, cfg)
@@ -323,6 +319,8 @@ def _pair(i: int, j: int, cfg: OmpConfig) -> tuple[int, int]:
     return a, b + cfg.q
 
 
-def _check_subgradient(g: float, cfg: OmpConfig):
-    if abs(g) > cfg.G + 1e-12:
-        raise ValueError(f"|g|={abs(g)} exceeds Lipschitz bound G={cfg.G}")
+def check_lipschitz(what: str, slope: float, G: float):
+    """Refuse a slope past the Lipschitz bound G, with 1e-12 of slack: the
+    one test for a round's |g| and a sequence file's loss."""
+    if slope > G + 1e-12:
+        raise ValueError(f"{what}={slope} exceeds Lipschitz bound G={G}")

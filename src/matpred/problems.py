@@ -71,10 +71,7 @@ class LossFn:
 
 @dataclass(frozen=True)
 class RegretReport:
-    learner_loss: float
-    comparator_loss: float
     regret: float
-    bound: float
     bound_satisfied: bool
 
 
@@ -241,10 +238,4 @@ def evaluate_run(learner_loss: float, comparator_loss: float, bound: float) -> R
     """Regret report: learner total minus comparator total, against the
     closed-form bound. Negative regret is reported as-is."""
     regret = learner_loss - comparator_loss
-    return RegretReport(
-        learner_loss=float(learner_loss),
-        comparator_loss=float(comparator_loss),
-        regret=float(regret),
-        bound=float(bound),
-        bound_satisfied=bool(regret <= bound),
-    )
+    return RegretReport(regret=float(regret), bound_satisfied=bool(regret <= bound))

@@ -35,7 +35,7 @@ class TestMaxcutLb:
     def test_structure(self):
         n, T = 4, 40
         seq = maxcut_lb(n, T, seed=0)
-        assert len(seq) == T
+        assert len(seq.rounds) == T
         block = 2 * T // n
         for b in range(n // 2):
             pairs = {seq.rounds[b * block + t][0] for t in range(block)}
@@ -81,7 +81,7 @@ class TestCfLb:
         m = n = 4
         tau0, G, T = 4.0, 1.0, 64
         seq = cf_lb(m, n, tau0, G, T, seed=0)
-        assert len(seq) == T
+        assert len(seq.rounds) == T
         rows = round(tau0 / math.sqrt(n))     # 2
         intervals = round(tau0 * math.sqrt(n))  # 8
         length = T // intervals
@@ -159,6 +159,3 @@ class TestRandomAdversary:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             random_adversary("bandit", 3, 3, T=5, seed=0)
-
-    def test_sequence_len(self):
-        assert len(random_adversary("cf", 2, 2, T=17, seed=1)) == 17

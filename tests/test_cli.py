@@ -72,14 +72,14 @@ class TestSequenceIo:
         seq = random_adversary("maxcut", 4, 4, T=20, seed=3)
         path = tmp_path / "seq.csv"
         write_sequence(str(path), seq)
-        back = read_sequence(str(path), 4, 4, 20)
+        back = read_sequence(str(path), 4, 4, 20, 0.5)
         assert back.rounds == seq.rounds
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,1,2,linear,0.5\n")
         with pytest.raises(ValueError):
-            read_sequence(str(path), 2, 2, 1)
+            read_sequence(str(path), 2, 2, 1, 1.0)
 
     @pytest.mark.parametrize("row, message", [
         ("1,1,3,linear,0.5", r"entry \(1, 3\) outside"),
@@ -87,13 +87,14 @@ class TestSequenceIo:
         ("1,1,x,linear,0.5", "bad row"),
         ("1,1,2,linear,inf", "must be finite"),
         ("1,1,2,huber,0.5", "unknown loss kind"),
+        ("1,1,2,linear,-1.5", "loss slope=1.5 exceeds Lipschitz bound G=1.0"),
         ("1,2,1,linear,0.5", "more than T=2 rounds"),
     ])
     def test_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"t,i,j,kind,param\n1,1,2,linear,0.5\n\n2,2,1,linear,0.5\n{row}\n")
         with pytest.raises(ValueError, match=rf"bad.csv:5: .*{message}"):
-            read_sequence(str(path), 2, 2, 2)
+            read_sequence(str(path), 2, 2, 2, 1.0)
 
 
 class TestParser:
@@ -371,6 +372,44 @@ def file_run(*rows, extra=()):
             "--adversary", "file", "--sequence-file", Rows(rows))
 
 
+# Usage errors and what their message names: the flag, or the sequence
+# file's line and the class's G.
+NAMED_USAGE_ERRORS = [
+    (("run", "--problem", "maxcut", "--seed", "-1"), "argument --seed"),
+    (file_run("1,1,2,absolute,1", extra=("--seed", "-1")), "argument --seed"),
+    (("decompose", "cut", "--n", "4", "--set", "1,,2"), "argument --set"),
+    (("decompose", "cut", "--n", "4", "--set", "x"), "argument --set"),
+    (("decompose", "permutation", "--perm", "3,1,x"), "argument --perm"),
+    (file_run("1,1,2,absolute,1", "2,2,1,linear,2.0"), r"seq\.csv:3: .*G=1\.0"),
+    (("run", "--problem", "cf", "--m", "2", "--n", "2", "--T", "5",
+      "--adversary", "file", "--sequence-file", Rows(["2,1,2,linear,2.0"])), r"seq\.csv:2: .*G=1\.0"),
+    (("run", "--problem", "maxcut", "--n", "4", "--T", "5",
+      "--adversary", "file", "--sequence-file", Rows(["1,1,2,absolute,1"])), r"seq\.csv:2: .*G=0\.5"),
+]
+
+
+def refused(argv, tmp_path, capsys, monkeypatch) -> str:
+    """Run argv in process and check that it is a usage error (exit 2),
+    raised before any output and any round; returns stderr."""
+    # In process: an uncaught exception fails the test as a traceback would.
+    rounds = []
+    play = harness.omp_round
+    monkeypatch.setattr(harness, "omp_round", lambda *a: rounds.append(a) or play(*a))
+    for k, arg in enumerate(argv):
+        if isinstance(arg, Rows):
+            path = tmp_path / "seq.csv"
+            path.write_text("t,i,j,kind,param\n" + "".join(f"{row}\n" for row in arg))
+            argv = (*argv[:k], str(path), *argv[k + 1:])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error:" in err
+    assert out == ""   # the error comes before any output
+    assert rounds == []   # and before any round
+    return err
+
+
 class TestExitCodes:
     def test_success(self):
         res = matpred("run", "--problem", "maxcut", "--n", "4", "--T", "20")
@@ -463,24 +502,14 @@ class TestExitCodes:
         # 1, and cf n = 7 at 715 once failed mid-run in the projection
         ("run", "--problem", "gambling", "--n", "4", "--T", "50", "--eta", "1000", "--no-comparator"),
         ("run", "--problem", "cf", "--n", "7", "--T", "50", "--eta", "715", "--no-comparator"),
+        *(argv for argv, _ in NAMED_USAGE_ERRORS),
     ])
     def test_usage_error(self, argv, tmp_path, capsys, monkeypatch):
-        # In process: an uncaught exception fails the test as a traceback would.
-        rounds = []
-        play = harness.omp_round
-        monkeypatch.setattr(harness, "omp_round", lambda *a: rounds.append(a) or play(*a))
-        for k, arg in enumerate(argv):
-            if isinstance(arg, Rows):
-                path = tmp_path / "seq.csv"
-                path.write_text("t,i,j,kind,param\n" + "".join(f"{row}\n" for row in arg))
-                argv = (*argv[:k], str(path), *argv[k + 1:])
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2
-        assert "error:" in err
-        assert out == ""   # the error comes before any output
-        assert rounds == []   # and before any round
+        refused(argv, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("argv, named", NAMED_USAGE_ERRORS)
+    def test_usage_error_names_its_cause(self, argv, named, tmp_path, capsys, monkeypatch):
+        assert re.search(named, refused(argv, tmp_path, capsys, monkeypatch))
 
     @pytest.mark.parametrize("argv, written", [
         (("run", "--problem", "maxcut", "--n", "4", "--T", "5", "--out"), ""),

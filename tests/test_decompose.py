@@ -30,6 +30,11 @@ def random_permutation(rng, n):
     return Permutation(n=n, mapping=tuple(int(v) for v in rng.permutation(n) + 1))
 
 
+def permutation_matrix(pi: Permutation) -> np.ndarray:
+    """The permutation matrix P with P[i, pi(i)] = 1 (0-based)."""
+    return np.eye(pi.n)[np.array(pi.mapping) - 1]
+
+
 class TestCutMatrix:
     def test_empty_cut(self):
         W = cut_matrix(CutSet(2, frozenset()))
@@ -185,7 +190,7 @@ class TestPermutations:
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_conjugation_identity(self, n, seed):
         pi = random_permutation(np.random.default_rng(seed), n)
-        P = pi.matrix()
+        P = permutation_matrix(pi)
         assert np.array_equal(perm_matrix(pi), P @ triangular(n) @ P.T)
 
     @settings(max_examples=30, deadline=None)
@@ -197,7 +202,7 @@ class TestPermutations:
         k = padded_size(n)[1]
         base = decompose_triangular(k)
         idx = np.concatenate([np.arange(n), 2 ** k + np.arange(n)])
-        Q = np.kron(np.eye(2), pi.matrix())
+        Q = np.kron(np.eye(2), permutation_matrix(pi))
         d = decompose_permutation(pi)
         assert np.array_equal(d.P, Q @ base.P[np.ix_(idx, idx)] @ Q.T)
         assert np.array_equal(d.N, Q @ base.N[np.ix_(idx, idx)] @ Q.T)

@@ -37,7 +37,7 @@ def small_cfg(**kw):
 class TestOmpConfig:
     def test_symmetric_shape(self):
         cfg = small_cfg()
-        assert (cfg.q, cfg.p, cfg.gamma) == (0, 3, 1.0)
+        assert (cfg.q, cfg.p) == (0, 3)
 
     def test_nonsymmetric_shape(self):
         cfg = OmpConfig(m=2, n=3, symmetric_class=False, beta=2.0, tau=4.0, G=1.0, T=10)
@@ -98,7 +98,7 @@ def loss_matrix(g: float, i: int, j: int, cfg: OmpConfig) -> np.ndarray:
     mirror, -g at the shifted pair. Traceless, with Tr(L^2) = 4 g^2 and
     spectral norm |g|. The learner never builds it: `exp_step` subtracts
     its blocks."""
-    omp._check_subgradient(g, cfg)
+    omp.check_lipschitz("|g|", abs(g), cfg.G)
     return full_iterate(omp._pair_term(i, j, cfg, off=g), cfg)
 
 

@@ -11,6 +11,7 @@ from matpred.decompose import (
     cut_matrix,
     decompose_cut,
     decompose_permutation,
+    decompose_trace_norm,
     padded_size,
     perm_matrix,
 )
@@ -124,6 +125,14 @@ class TestConfigs:
         d = decompose_cut(c)
         cfg = maxcut_config(n, T=10)
         assert (cfg.beta, cfg.tau) == (d.beta, d.tau)
+        # CF: a non-symmetric (n + 1) x n W in [-1, 1] with ||W||_tr <= tau0,
+        # the bound met where W is scaled down onto it (up to round-off).
+        tau0 = float(n)
+        W = rng.uniform(-1.0, 1.0, (n + 1, n))
+        W *= min(1.0, tau0 / trace_norm(W))
+        d = decompose_trace_norm(W)
+        cfg = cf_config(n + 1, n, tau0, G=1.0, T=10)
+        assert d.beta == cfg.beta and d.tau <= cfg.tau + 1e-12
 
     def test_cf(self):
         cfg = cf_config(m=4, n=4, trace_bound=4.0, G=1.0, T=100)
